@@ -30,7 +30,6 @@ from .grid import (
 from .harness import (
     Phantom,
     ValidationReport,
-    cli,
     compare,
     make_phantom,
     read_json,
@@ -42,12 +41,10 @@ from .invert_ac import (
     check_equator_decay,
     full_transform,
     invert_ac,
-    invert_ac_even_general,
     invert_ac_n2,
     invert_ac_odd,
-    t_derivative,
 )
-from .invert_hs import finite_difference, invert_hypersingular
+from .invert_hs import invert_hypersingular
 from .invert_john import invert_even, invert_john, invert_odd
 from .invert_svd import (
     SpectralCoeffs,
@@ -82,11 +79,8 @@ from .specfun import (
 from .xform import (
     dual_radon,
     is_even_slice_data,
-    log_backproject_pair,
     log_backprojection,
-    log_convolve,
     log_kernel_identity,
-    p_star,
     radon_ball,
     spherical_mean,
     vslice_direct,

@@ -95,7 +95,6 @@ def _build_parser():
     p.add_argument("--resolution", type=int, help="john/ac: backprojection lattice size")
     p.add_argument("--eps", type=float, help="hs: inner cutoff radius")
     p.add_argument("--rmax", type=float, default=4.0, help="hs: outer truncation radius")
-    p.add_argument("--ell", type=int, default=1, help="hs: finite-difference order")
     _add_config_flag(p)
     commands["invert"] = p
 
@@ -252,7 +251,7 @@ def _run_invert(args):
         from .invert_hs import invert_hypersingular
 
         eps = None if args.eps is None else float(args.eps)
-        rec = invert_hypersingular(data, ell=int(args.ell), eps=eps, r_max=float(args.rmax))
+        rec = invert_hypersingular(data, eps=eps, r_max=float(args.rmax))
     else:
         from .invert_svd import reconstruct
 

@@ -37,6 +37,8 @@ class GridSpec:
             raise ValueError("only n = 2 and n = 3 are supported")
         if min(self.n_angular, self.n_radial, self.n_t) < 4:
             raise ValueError("all node counts must be >= 4")
+        if self.n == 2 and self.n_angular % 2:
+            raise ValueError("n = 2 needs an even angular count (antipodal pairs)")
         if self.radial_rule not in RADIAL_RULES:
             raise ValueError("radial_rule must be one of %r" % (RADIAL_RULES,))
         if self.t_rule not in T_RULES:
@@ -119,8 +121,8 @@ class Grid:
         else:
             npol = spec.n_angular
             nazi = 2 * npol
-            c, wc = roots_legendre(npol)
-            c = _symmetrize(c)  # ascending and exactly antisymmetric
+            c = _symmetrize(roots_legendre(npol)[0])  # ascending, exactly antisymmetric
+            wc = _legendre_weights(c)
             beta = 2.0 * np.pi * np.arange(nazi) / nazi
             s = np.sqrt(1.0 - c * c)
             pts = np.empty((npol, nazi, 3))
@@ -248,8 +250,6 @@ class Grid:
         if p is None:
             if self.spec.n == 2:
                 A = self.n_ang_total
-                if A % 2:
-                    raise ValueError("antipodal map needs an even angular count")
                 p = (np.arange(A) + A // 2) % A
             else:
                 i = np.arange(self.n_polar)[:, None]
@@ -302,7 +302,12 @@ class _ChartFunction:
     """Shared behaviour of the three sampled-function containers."""
 
     def __init__(self, grid, smooth, boundary_exponent=0.0, evaluator=None):
+        # stored read-only, so the memoized spectral and spline tables built
+        # from it cannot go stale; a read-only float array is shared as is
         smooth = np.asarray(smooth, dtype=float)
+        if smooth.flags.writeable:
+            smooth = smooth.copy()
+            smooth.setflags(write=False)
         if smooth.shape != self._shape(grid):
             raise ValueError(
                 "value array has shape %r, expected %r" % (smooth.shape, self._shape(grid))
@@ -342,8 +347,8 @@ class _ChartFunction:
         return self * -1.0
 
 
-class BallFunction(_ChartFunction):
-    """phi on the unit ball: smooth * (1-|x'|^2)^boundary_exponent at the grid nodes.
+class _BallChart(_ChartFunction):
+    """Samples smooth * (1-|x'|^2)^boundary_exponent at the ball chart nodes.
 
     `evaluator`, when present, maps arbitrary chart points of shape (..., n)
     to the smooth part, letting the transforms quadrature off-grid honestly.
@@ -361,23 +366,16 @@ class BallFunction(_ChartFunction):
         return cls(grid, fn(grid.ball_points), boundary_exponent, evaluator=fn)
 
 
-class SphereFunction(_ChartFunction):
+class BallFunction(_BallChart):
+    """phi on the unit ball, sampled at the chart nodes."""
+
+
+class SphereFunction(_BallChart):
     """Even function on S^n stored through its upper-hemisphere ball chart.
 
     values[a, i] = f(x', sqrt(1-|x'|^2)) at x' = r_i * ang_a; evenness in the
     last coordinate is implied, so this determines f on the whole sphere.
     """
-
-    @staticmethod
-    def _shape(grid):
-        return (grid.n_ang_total, grid.spec.n_radial)
-
-    def _factor(self):
-        return self.grid.boundary_factor(self.boundary_exponent, "radial")
-
-    @classmethod
-    def from_function(cls, grid, fn, boundary_exponent=0.0):
-        return cls(grid, fn(grid.ball_points), boundary_exponent, evaluator=fn)
 
 
 class SliceData(_ChartFunction):

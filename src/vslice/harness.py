@@ -14,7 +14,15 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .grid import GridSpec, SliceData, SphereFunction, inner_product_sphere, make_grid
+from .grid import (
+    RADIAL_RULES,
+    T_RULES,
+    GridSpec,
+    SliceData,
+    SphereFunction,
+    inner_product_sphere,
+    make_grid,
+)
 from .invert_svd import sphere_basis_grid
 from .specfun import SvdIndex
 
@@ -202,8 +210,6 @@ _MAGIC = b"VSLFILE\x00"
 _VERSION = 1
 _KIND_SLICE = 0
 _KIND_SPHERE = 1
-_RADIAL_RULES = {"gauss_jacobi": 0}
-_T_RULES = {"chebyshev": 0}
 
 
 def _pack_header(kind):
@@ -237,8 +243,10 @@ def write_vsl(path, data, lam=float("nan")):
                 "<IIIId",
                 spec.n_angular,
                 spec.n_radial,
-                _RADIAL_RULES[spec.radial_rule],
-                _T_RULES[spec.t_rule],
+                # rule codes are positions in the grid's rule lists, so the
+                # default rules are code 0
+                RADIAL_RULES.index(spec.radial_rule),
+                T_RULES.index(spec.t_rule),
                 data.boundary_exponent,
             )
         )
@@ -260,11 +268,11 @@ def read_vsl(path):
     off = 16 + struct.calcsize("<IdII")
     n_angular, n_radial, rrule, trule, exponent = struct.unpack_from("<IIIId", raw, off)
     off += struct.calcsize("<IIIId")
-    rrule_name = {v: k for k, v in _RADIAL_RULES.items()}.get(rrule)
-    trule_name = {v: k for k, v in _T_RULES.items()}.get(trule)
-    if rrule_name is None or trule_name is None:
+    if rrule >= len(RADIAL_RULES) or trule >= len(T_RULES):
         raise ValueError("unknown quadrature rule code in file")
-    spec = GridSpec(int(n), int(n_angular), int(n_radial), int(n_t), rrule_name, trule_name)
+    spec = GridSpec(
+        int(n), int(n_angular), int(n_radial), int(n_t), RADIAL_RULES[rrule], T_RULES[trule]
+    )
     grid = make_grid(spec)
     if grid.n_ang_total != n_ang_total:
         raise ValueError("angular node count does not match the grid spec")
@@ -278,12 +286,14 @@ def read_vsl(path):
     want_axis = grid.t if kind == _KIND_SLICE else grid.r
     if not np.array_equal(axis, want_axis):
         raise ValueError("axis nodes in file do not match the grid spec")
-    smooth = np.frombuffer(raw, "<f8", grid.n_ang_total * count, off).reshape(
-        grid.n_ang_total, count
-    )
+    smooth = np.frombuffer(raw, "<f8", grid.n_ang_total * count, off)
+    if off + smooth.nbytes != len(raw):
+        raise ValueError("trailing bytes after the vsl payload")
+    # the read-only buffer view is shared by the container, not copied
+    smooth = smooth.reshape(grid.n_ang_total, count)
     if kind == _KIND_SLICE:
-        return SliceData(grid, smooth.copy(), exponent), lam
-    return SphereFunction(grid, smooth.copy(), exponent), lam
+        return SliceData(grid, smooth, exponent), lam
+    return SphereFunction(grid, smooth, exponent), lam
 
 
 # -- JSON reports and configs --------------------------------------------------
@@ -304,9 +314,3 @@ def read_json(path):
     if version != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema version {version!r}")
     return payload
-
-
-def cli(argv=None):
-    from .cli import cli as _cli
-
-    return _cli(argv)

@@ -2,17 +2,18 @@
 
 Both reconstruction routes here consume the FULL slice transform V = 2 V_+;
 `vslice_forward` produces V_+, so callers double it first (see
-`full_transform`).  The formulas assume functions that vanish identically
-near the equator; for such data the filtered profiles g_theta(t) =
-F(theta, t) (1-t^2)^(-1/2) drop to zero before the endpoints, which is what
-makes the t-differentiation and the log filter well behaved.  The module
-warns when the data visibly violates that decay.
+`full_transform`).  In three dimensions the continued formula is a plain
+backprojection followed by the Laplacian, in two a log-filtered one.  The
+formulas assume functions that vanish identically near the equator; for such
+data the filtered profiles g_theta(t) = F(theta, t) (1-t^2)^(-1/2) drop to
+zero before the endpoints, which is what keeps the division by sqrt(1-t^2)
+and the log filter well behaved.  The module warns when the data visibly
+violates that decay.
 """
 
 import warnings
 
 import numpy as np
-from numpy.polynomial import chebyshev
 
 from .grid import SliceData
 from .invert_john import (
@@ -33,25 +34,6 @@ def full_transform(F):
     if not isinstance(F, SliceData):
         raise TypeError("full_transform expects SliceData")
     return SliceData(F.grid, 2.0 * F.smooth, F.boundary_exponent)
-
-
-def t_derivative(F, order):
-    """Spectral d/dt of the full t-profiles, returned with exponent 0.
-
-    The profiles of admissible data vanish near t = +-1, so their
-    derivatives are plain smooth functions; each profile is interpolated in
-    the Chebyshev basis (the t nodes are Chebyshev points) and differentiated
-    exactly there.
-    """
-    if order < 0:
-        raise ValueError("derivative order must be >= 0")
-    if order == 0:
-        return F
-    t = F.grid.t
-    coef = chebyshev.chebfit(t, F.values.T, len(t) - 1)
-    for _ in range(order):
-        coef = chebyshev.chebder(coef)
-    return SliceData(F.grid, chebyshev.chebval(t, coef), 0.0)
 
 
 def check_equator_decay(F, margin):
@@ -111,24 +93,6 @@ def invert_ac_n2(F, resolution=None):
     _decay_guard(F)
     g = _plane_data(F)
     c = -sphere_area(2) / (8.0 * np.pi**2)
-    res = resolution or JOHN_RESOLUTION_N2
-    return _backproject_laplacian(F, lambda pts: log_backprojection(g, pts), c, res)
-
-
-def invert_ac_even_general(F, resolution=None):
-    """Log-kernel continuation route for even n, from the full transform V.
-
-    Stated for even n > 2; this toolkit only builds n = 2 and n = 3 grids,
-    so n = 2 is accepted as the degenerate case (derivative order 0), where
-    the route coincides with invert_ac_n2 exactly — which is also the only
-    executable check of the composition.
-    """
-    n = F.grid.spec.n
-    if n % 2:
-        raise ValueError("the log-kernel route needs slice data of even n")
-    _decay_guard(F)
-    g = t_derivative(_plane_data(F), n - 2)
-    c = -(method_constants(n).lambda_n / np.pi) * sphere_area(n)
     res = resolution or JOHN_RESOLUTION_N2
     return _backproject_laplacian(F, lambda pts: log_backprojection(g, pts), c, res)
 

@@ -8,8 +8,6 @@ eps -> 0; the remaining first-order truncation bias is removed by linear
 extrapolation from the pair (eps, 2 eps).
 """
 
-import math
-
 import numpy as np
 from scipy.ndimage import map_coordinates, spline_filter
 from scipy.special import roots_legendre
@@ -23,22 +21,8 @@ from .xform import dual_radon
 FINE_COUNT = 384
 FINE_HALFWIDTH = 1.3
 COARSE_COUNT = 384
-
-
-def finite_difference(g, ell, x, y):
-    """Order-ell difference of g at x with offset y:
-    sum_k (-1)^k C(ell,k) g(x - k y)."""
-    if ell < 1:
-        raise ValueError("difference order must be >= 1")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    total = None
-    for k in range(ell + 1):
-        term = math.comb(ell, k) * np.asarray(g(x - k * y), dtype=float)
-        if k % 2:
-            term = -term
-        total = term if total is None else total + term
-    return total
+OFFSET_ANGLES = 24  # offset directions per half circle
+PANEL_NODES = 8  # Gauss-Legendre nodes per geometric radial panel
 
 
 class _Table:
@@ -62,9 +46,9 @@ def _backprojection_tables(phi, r_max):
     return table(FINE_COUNT, FINE_HALFWIDTH), table(COARSE_COUNT, r_max + 1.2)
 
 
-def invert_hypersingular(F, ell=1, eps=None, r_max=4.0, angles=24, panel_nodes=8,
-                         tail_correction=True):
-    """Reconstruct from slice data via the annulus integral above (n = 2).
+def invert_hypersingular(F, eps=None, r_max=4.0, tail_correction=True):
+    """Reconstruct from slice data via the annulus integral above (n = 2),
+    with the first-order difference g(x) - g(x - y) that n = 2 requires.
 
     eps defaults to twice the fine table step; the radial quadrature runs
     over geometric panels [eps 2^j, eps 2^(j+1)] with Gauss-Legendre nodes,
@@ -80,8 +64,6 @@ def invert_hypersingular(F, ell=1, eps=None, r_max=4.0, angles=24, panel_nodes=8
     grid = F.grid
     if grid.spec.n != 2:
         raise ValueError("the hypersingular route is implemented for n = 2 only")
-    if ell != 1:
-        raise ValueError("n = 2 requires difference order ell = 1")
     h_fine = 2.0 * FINE_HALFWIDTH / (FINE_COUNT - 1)
     if eps is None:
         eps = 2.0 * h_fine
@@ -94,15 +76,15 @@ def invert_hypersingular(F, ell=1, eps=None, r_max=4.0, angles=24, panel_nodes=8
     g0 = fine(base)
 
     # full-circle offset directions in antipodal pairs
-    nfull = 2 * angles
-    om = (np.arange(nfull) + 0.5) * np.pi / angles
+    nfull = 2 * OFFSET_ANGLES
+    om = (np.arange(nfull) + 0.5) * np.pi / OFFSET_ANGLES
     dirs = np.stack([np.cos(om), np.sin(om)], axis=-1)
-    w_ang = np.pi / angles
+    w_ang = np.pi / OFFSET_ANGLES
 
     bounds = [eps]
     while bounds[-1] < r_max:
         bounds.append(min(2.0 * bounds[-1], r_max))
-    xg, wg = roots_legendre(panel_nodes)
+    xg, wg = roots_legendre(PANEL_NODES)
 
     total = np.zeros(base.shape[0])
     first_panel = np.zeros(base.shape[0])
@@ -111,7 +93,7 @@ def invert_hypersingular(F, ell=1, eps=None, r_max=4.0, angles=24, panel_nodes=8
         rho = 0.5 * (b - a) * xg + 0.5 * (a + b)
         wr = 0.5 * (b - a) * wg
         psum = np.zeros(base.shape[0])
-        for q in range(panel_nodes):
+        for q in range(PANEL_NODES):
             table = fine if 1.0 + rho[q] <= FINE_HALFWIDTH else coarse
             queries = base[None, :, :] - rho[q] * dirs[:, None, :]
             gvals = table(queries).reshape(nfull, -1)

@@ -7,10 +7,9 @@ hyperplane Radon transform of the lifted ball function, which is what the
 production path computes; ``vslice_direct`` quadratures the slice integral
 from scratch in a different chart and serves as the independent oracle.
 
-Also here: the dual (backprojection) operator, the log convolution in the
-offset variable with exact per-cell log moments, spherical means, and the
-n = 2 log-kernel backprojection pair used by the even-dimensional inversion
-formulas.
+Also here: the dual (backprojection) operator and its log-filtered form for
+the even-dimensional inversion formulas, both summed over one direction per
+antipodal pair of folded profiles, and spherical means.
 """
 
 import math
@@ -20,18 +19,23 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.special import roots_jacobi, roots_legendre
 
-from .grid import BallFunction, SliceData, SphereFunction, lift
+from .grid import SliceData, SphereFunction, _BallChart, lift
 from .specfun import harmonic_dim, sph_harm, sphere_area
 
-# Default quadrature sizes for the slice integrals.  The chord rule is
+# Quadrature sizes for the slice integrals.  The chord rule is
 # spectrally accurate but compactly supported bumps converge slowly enough
-# that generous defaults are needed; 160 chords puts a width-0.7 bump at
+# that generous sizes are needed; 160 chords puts a width-0.7 bump at
 # ~1e-11 absolute error, and 48 radial disk nodes at ~2e-7.  Basis functions
 # of degree <= 10 are always integrated exactly.
 CHORD_NODES_N2 = 160
 DISK_NODES_N3 = 48
 
 _BACKPROJECT_CHUNK = 4096
+
+# Uniform offset table of the log-filtered profiles: it spans every theta . x
+# that a padded Cartesian reconstruction grid can produce.
+LOG_TABLE_NODES = 8193
+LOG_TABLE_SPAN = 1.75
 
 
 @lru_cache(maxsize=256)
@@ -232,18 +236,24 @@ def _forward_eval_3(f, K):
     # smooth integrands, so 2K/3 nodes suffice and save a third of the cost.
     kchi = max(2 * ((K + 2) // 3), 16)
     chi = 2.0 * np.pi * np.arange(kchi) / kchi
-    th = grid.ang
+    # f is even, so F(-theta, -t) = F(theta, t): one direction per antipodal
+    # pair is integrated and its partner gets the profile reversed in t
+    sel = np.arange(grid.n_ang_total) < grid.antipodal_index
+    th = grid.ang[sel]
     e1, e2 = _frames(th)
     omega = (
         np.cos(chi)[None, :, None] * e1[:, None, :]
         + np.sin(chi)[None, :, None] * e2[:, None, :]
     )
-    out = np.empty((grid.n_ang_total, grid.spec.n_t))
+    half = np.empty((th.shape[0], grid.spec.n_t))
     for j, tj in enumerate(grid.t):
         r = math.sqrt(1.0 - tj * tj)
         pts = tj * th[:, None, None, :] + r * rho[None, :, None, None] * omega[:, None, :, :]
         vals = np.asarray(f.evaluator(pts), dtype=float)
-        out[:, j] = (math.pi / kchi) * np.einsum("q,aqk->a", wq, vals)
+        half[:, j] = (math.pi / kchi) * np.einsum("q,aqk->a", wq, vals)
+    out = np.empty((grid.n_ang_total, grid.spec.n_t))
+    out[sel] = half
+    out[grid.antipodal_index[sel]] = half[:, ::-1]
     return SliceData(grid, out, e + 1.0)
 
 
@@ -280,7 +290,7 @@ def _forward_sh_3(f, K):
     return SliceData(grid, Y @ tbl, e + 1.0)
 
 
-def vslice_forward(f, chord_nodes=None):
+def vslice_forward(f):
     """Half slice transform of an even sphere function, sampled on the grid.
 
     Computes F(theta_i, t_j) = sqrt(1 - t_j^2) * Radon(lift f)(theta_i, t_j).
@@ -291,22 +301,20 @@ def vslice_forward(f, chord_nodes=None):
     """
     if not isinstance(f, SphereFunction):
         raise TypeError("vslice_forward expects a SphereFunction")
-    n = f.spec.n
-    if n == 2:
-        return _forward_2(f, chord_nodes or CHORD_NODES_N2)
-    K = chord_nodes or DISK_NODES_N3
+    if f.spec.n == 2:
+        return _forward_2(f, CHORD_NODES_N2)
     if f.evaluator is not None:
-        return _forward_eval_3(f, K)
-    return _forward_sh_3(f, K)
+        return _forward_eval_3(f, DISK_NODES_N3)
+    return _forward_sh_3(f, DISK_NODES_N3)
 
 
-def radon_ball(phi, theta, t, chord_nodes=None):
+def radon_ball(phi, theta, t):
     """Hyperplane Radon transform of a ball function at one (theta, t).
 
     Integrates phi over the chord (n=2) or disk (n=3) section of the ball by
     {x' . theta = t}; returns 0 for |t| >= 1 since phi extends by zero.
     """
-    if not isinstance(phi, (BallFunction, SphereFunction)):
+    if not isinstance(phi, _BallChart):
         raise TypeError("radon_ball expects a BallFunction")
     t = float(t)
     if abs(t) >= 1.0:
@@ -317,16 +325,14 @@ def radon_ball(phi, theta, t, chord_nodes=None):
     e = phi.boundary_exponent
     r = math.sqrt(1.0 - t * t)
     if n == 2:
-        Q = chord_nodes or CHORD_NODES_N2
-        tau, wq = _jacobi_rule(Q, e, e)
+        tau, wq = _jacobi_rule(CHORD_NODES_N2, e, e)
         perp = np.array([-theta[1], theta[0]])
         pts = t * theta[None, :] + (r * tau)[:, None] * perp[None, :]
         return r ** (1.0 + 2.0 * e) * float(_smooth_values(phi, pts) @ wq)
-    K = chord_nodes or DISK_NODES_N3
-    xg, wg = _jacobi_rule(K, e, 0.0)
+    xg, wg = _jacobi_rule(DISK_NODES_N3, e, 0.0)
     rho = np.sqrt((xg + 1.0) / 2.0)
     wq = wg * 2.0 ** (-(e + 1.0))
-    kchi = max(2 * K, 16)
+    kchi = max(2 * DISK_NODES_N3, 16)
     chi = 2.0 * np.pi * np.arange(kchi) / kchi
     e1, e2 = _frames(theta)
     omega = np.cos(chi)[:, None] * e1 + np.sin(chi)[:, None] * e2
@@ -380,19 +386,36 @@ def vslice_direct(f, theta, t, chord_nodes=None):
 # -- dual transform ------------------------------------------------------------
 
 
+def _fold(F):
+    """One direction per antipodal pair: (directions, weights / sigma_{n-1},
+    folded profiles F(theta, t) + F(-theta, -t)).
+
+    Every backprojection integrates F(theta, theta . x) over all directions,
+    where the partner term F(-theta, -theta . x) is the folded-in profile at
+    the same offset.  The sum is exact for any data: the odd part of F, which
+    cancels between theta and -theta, never reaches a reconstruction.
+    """
+    grid = F.grid
+    sel = np.arange(grid.n_ang_total) < grid.antipodal_index
+    w = grid.ang_weight[sel] / sphere_area(grid.spec.n)
+    values = F.values
+    folded = values[sel] + values[grid.antipodal_index[sel]][:, ::-1]
+    return grid.ang[sel], w, folded
+
+
 def _dual_rep(F):
-    # C^2 cubic spline of each direction's t-profile, endpoints pinned to
-    # zero at t = +-1 (slice data of integrable functions vanishes there).
+    # C^2 cubic spline of each folded t-profile, endpoints pinned to zero at
+    # t = +-1 (slice data of integrable functions vanishes there).
     # Twice-continuous interpolation matters downstream: reconstruction
     # formulas difference the backprojection, and kinks in the interpolant
     # show up amplified by the stencil.
     rep = getattr(F, "_dual_coeffs", None)
     if rep is None:
-        A = F.smooth.shape[0]
+        ang, w, folded = _fold(F)
+        pad = np.zeros((folded.shape[0], 1))
         x = np.concatenate(([-1.0], F.grid.t, [1.0]))
-        y = np.concatenate([np.zeros((A, 1)), F.values, np.zeros((A, 1))], axis=1)
-        spline = CubicSpline(x, y, axis=1, bc_type="natural")
-        rep = (x, spline.c)
+        y = np.concatenate([pad, folded, pad], axis=1)
+        rep = (ang, w, x, CubicSpline(x, y, axis=1, bc_type="natural").c)
         F._dual_coeffs = rep
     return rep
 
@@ -409,17 +432,8 @@ def _eval_rows(x, c, S):
 
 def _backproject_many(F, pts):
     """(1/sigma_{n-1}) sum_i w_i F(theta_i, theta_i . x) at many points."""
-    grid = F.grid
-    x, c = _dual_rep(F)
+    ang, w, x, c = _dual_rep(F)
     pts = np.asarray(pts, dtype=float)
-    w = grid.ang_weight / sphere_area(grid.spec.n)
-    ang = grid.ang
-    if is_even_slice_data(F):
-        # An antipodal pair contributes two identical terms: the partner's
-        # profile is the t-reversed one evaluated at the negated offset.
-        # Keeping one direction per pair at double weight halves the work.
-        sel = np.arange(ang.shape[0]) < grid.antipodal_index
-        ang, w, c = ang[sel], 2.0 * w[sel], c[:, :, sel]
     out = np.empty(pts.shape[0])
     for lo in range(0, pts.shape[0], _BACKPROJECT_CHUNK):
         hi = min(lo + _BACKPROJECT_CHUNK, pts.shape[0])
@@ -433,9 +447,9 @@ def _backproject_many(F, pts):
 def is_even_slice_data(F, tol=1e-12):
     """Whether F(-theta, -t) = F(theta, t) holds to a relative tolerance.
 
-    Slice transforms of even sphere functions always satisfy this; the
-    reconstruction pipelines use it to tabulate backprojections on half of
-    their symmetric lattices.
+    Slice transforms of even sphere functions always satisfy this; measured
+    data satisfy it only up to their noise.  A diagnostic only: the
+    backprojections fold antipodal pairs whatever the data.
     """
     if not isinstance(F, SliceData):
         raise TypeError("is_even_slice_data expects SliceData")
@@ -465,7 +479,7 @@ def dual_radon(F, xprime):
     return float(out[0]) if single else out.reshape(pts.shape[:-1])
 
 
-# -- log convolution -----------------------------------------------------------
+# -- log filter ----------------------------------------------------------------
 
 
 def _g0(x):
@@ -501,61 +515,39 @@ def _log_moment_matrix(t_nodes, s_points):
 
 
 @lru_cache(maxsize=16)
-def _log_matrix_nodes(grid):
-    return _log_moment_matrix(grid.t, grid.t)
-
-
-def log_convolve(F):
-    """Log convolution (LF)(theta, s) = int log|s - t| F(theta, t) dt.
-
-    The log moments of each linear cell are integrated in closed form, so the
-    integrable singularity at s = t costs no accuracy; output is sampled at
-    the grid's own t nodes with exponent 0.
-    """
-    if not isinstance(F, SliceData):
-        raise TypeError("log_convolve expects SliceData")
-    return SliceData(F.grid, F.values @ _log_matrix_nodes(F.grid).T, 0.0)
-
-
-@lru_cache(maxsize=16)
-def _log_matrix_fine(grid, n_fine, span):
-    s = np.linspace(-span, span, n_fine)
+def _log_matrix_fine(grid):
+    s = np.linspace(-LOG_TABLE_SPAN, LOG_TABLE_SPAN, LOG_TABLE_NODES)
     W = _log_moment_matrix(grid.t, s)
     s.setflags(write=False)
     return s, W
 
 
-def log_backprojection(F, pts, n_fine=8193, span=1.75):
-    """Backprojected log filter (1/sigma_{n-1}) int (LF)(theta, theta . x) dtheta.
+def log_backprojection(F, pts):
+    """Backprojected log filter (1/sigma_{n-1}) int (LF)(theta, theta . x) dtheta,
+    with (LF)(theta, s) = int log|s - t| F(theta, t) dt.
 
-    Unlike plain slice data, LF does not vanish for |s| > 1, so the filtered
-    profiles are tabulated on a uniform s-grid wide enough to cover every
-    theta . x that a padded Cartesian reconstruction grid can produce, then
-    linearly interpolated per direction.
+    The log moments of each linear cell are integrated in closed form, so the
+    integrable singularity at s = t costs no accuracy.  Unlike plain slice
+    data, LF does not vanish for |s| > 1, so the filtered folded profiles are
+    tabulated on the uniform s-grid above, then linearly interpolated per
+    direction.
     """
     if not isinstance(F, SliceData):
         raise TypeError("log_backprojection expects SliceData")
-    grid = F.grid
-    s, W = _log_matrix_fine(grid, n_fine, span)
-    idx = np.arange(grid.n_ang_total)
-    wts = grid.ang_weight
-    if is_even_slice_data(F):
-        # same antipodal-pair fold as the spline backprojection: log
-        # filtering commutes with the t-reversal, so partner terms coincide
-        sel = idx < grid.antipodal_index
-        idx, wts = idx[sel], 2.0 * wts[sel]
-    T = F.values[idx] @ W.T
+    s, W = _log_matrix_fine(F.grid)
+    ang, w, folded = _fold(F)
+    T = folded @ W.T
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    S = grid.ang[idx] @ pts.T
-    if np.abs(S).max() >= span:
+    S = ang @ pts.T
+    if np.abs(S).max() >= LOG_TABLE_SPAN:
         raise ValueError("backprojection points exceed the tabulated log range")
     acc = np.zeros(pts.shape[0])
-    for k in range(len(idx)):
-        acc += wts[k] * np.interp(S[k], s, T[k])
-    return acc / sphere_area(grid.spec.n)
+    for k in range(len(w)):
+        acc += w[k] * np.interp(S[k], s, T[k])
+    return acc
 
 
-# -- spherical means and the n = 2 log pair ------------------------------------
+# -- spherical means -----------------------------------------------------------
 
 
 def spherical_mean(f, theta, t):
@@ -571,54 +563,6 @@ def spherical_mean(f, theta, t):
     n = f.spec.n
     v_plus = math.sqrt(1.0 - t * t) * radon_ball(lift(f), theta, t)
     return 2.0 * v_plus * (1.0 - t * t) ** ((1.0 - n) / 2.0) / sphere_area(n)
-
-
-def _mean_table(V):
-    """Spherical means as SliceData, from full-transform slice data."""
-    n = V.spec.n
-    return SliceData(
-        V.grid, V.smooth / sphere_area(n), V.boundary_exponent + (1.0 - n) / 2.0
-    )
-
-
-def p_star(F, xprime):
-    """Equatorial backprojection (1/2pi) int_{S^1} F(theta, theta . x) dsigma.
-
-    Identical to dual_radon on the n = 2 grid; kept as its own entry point
-    because the even-dimensional inversion composes it with the log profile.
-    """
-    if F.spec.n != 2:
-        raise ValueError("p_star is defined on the circle of directions (n = 2)")
-    return dual_radon(F, xprime)
-
-
-def log_backproject_pair(data):
-    """n = 2 log-kernel pair (N, P).
-
-    N(theta, t) = 2 pi int M(theta, s) log|s - t| ds is the log profile of the
-    spherical means M, returned as SliceData on the grid's t nodes.  P is a
-    callable backprojecting that profile: P(points) = (1/2pi) int N(theta,
-    theta . x') dsigma(theta), evaluated through a fine log table so points
-    beyond the data support are handled correctly.
-
-    `data` may be the sphere function itself or full-transform slice data
-    V = 2 V_+.
-    """
-    if isinstance(data, SphereFunction):
-        V = 2.0 * vslice_forward(data)
-    elif isinstance(data, SliceData):
-        V = data
-    else:
-        raise TypeError("expected a SphereFunction or SliceData")
-    if V.spec.n != 2:
-        raise ValueError("the log-kernel pair is defined for n = 2 only")
-    mean = _mean_table(V)
-    N = SliceData(V.grid, 2.0 * math.pi * log_convolve(mean).smooth, 0.0)
-
-    def backproject(points):
-        return 2.0 * math.pi * log_backprojection(mean, points)
-
-    return N, backproject
 
 
 def log_kernel_identity(num_nodes=1 << 20):

@@ -95,7 +95,7 @@ def test_invert_john_and_ac_reports(artifacts, tmp_path, capsys):
 
 def test_invert_hs_flags(artifacts, capsys):
     _, ph, sino = artifacts
-    rc = cli(["invert", "--method", "hs", "--rmax", "6", "--ell", "1",
+    rc = cli(["invert", "--method", "hs", "--rmax", "6",
               "--in", str(sino), "--truth", str(ph)])
     assert rc == 0
     body = json.loads(capsys.readouterr().out)

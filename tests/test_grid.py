@@ -41,6 +41,9 @@ def test_spec_validation():
         GridSpec(2, 16, 16, 16, radial_rule="simpson")
     with pytest.raises(ValueError):
         GridSpec(2, 16, 16, 16, t_rule="uniform")
+    with pytest.raises(ValueError, match="even angular"):
+        GridSpec(2, 15, 16, 16)
+    assert make_grid(GridSpec(3, 7, 16, 16)).n_ang_total == 7 * 14
 
 
 def test_spec_roundtrip():
@@ -122,6 +125,15 @@ def test_gauss_legendre_t_weights_native(n_t):
     assert np.array_equal(w, w[::-1])
     ref = _gauss_legendre_weights_mp(n_t)
     assert np.max(np.abs(w / ref - 1.0)) < 1e-14
+
+
+@pytest.mark.parametrize("n_polar", [8, 16])
+def test_polar_weights_native(n_polar):
+    # n = 3 polar cosines are Gauss-Legendre nodes; their weights must be too
+    g = make_grid(GridSpec(3, n_polar, 8, 8))
+    assert np.array_equal(g.polar_weight, g.polar_weight[::-1])
+    ref = _gauss_legendre_weights_mp(n_polar)
+    assert np.max(np.abs(g.polar_weight / ref - 1.0)) < 1e-14
 
 
 @pytest.mark.parametrize("n_t", [16, 64])
@@ -295,6 +307,20 @@ def test_from_function_evaluator(grid):
     phi = BallFunction.from_function(grid, fn, boundary_exponent=0.5)
     assert phi.evaluator is fn
     assert np.allclose(phi.smooth, grid.u[None, :] * np.ones((grid.n_ang_total, 1)))
+
+
+def test_samples_are_read_only(grid):
+    # memoized spline and spectral tables are built from the samples, so
+    # the containers freeze them: a copy of a writable input, the array
+    # itself when it is already read-only
+    own = np.ones(SliceData._shape(grid))
+    F = SliceData(grid, own)
+    with pytest.raises(ValueError):
+        F.smooth *= 2
+    own *= 2
+    assert own.flags.writeable and np.all(F.smooth == 1.0)
+    f = SphereFunction(grid, np.ones(SphereFunction._shape(grid)))
+    assert lift(f).smooth is f.smooth
 
 
 def test_values_finite_guard(grid):

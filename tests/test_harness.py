@@ -174,6 +174,19 @@ def test_vsl_roundtrip_sphere(tmp_path):
     assert back.grid.spec == SPEC3
 
 
+@pytest.mark.parametrize("radial_rule", ["gauss_jacobi", "uniform"])
+@pytest.mark.parametrize("t_rule", ["chebyshev", "gauss_legendre"])
+def test_vsl_roundtrip_rules(tmp_path, radial_rule, t_rule):
+    spec = GridSpec(2, 16, 8, 16, radial_rule=radial_rule, t_rule=t_rule)
+    g = make_grid(spec)
+    F = SliceData(g, np.random.default_rng(4).standard_normal((16, 16)), 0.5)
+    path = tmp_path / "rules.vsl"
+    write_vsl(path, F)
+    back, _ = read_vsl(path)
+    assert back.grid.spec == spec
+    assert np.array_equal(back.smooth, F.smooth)
+
+
 def test_vsl_rejects_garbage(tmp_path):
     path = tmp_path / "bad.vsl"
     path.write_bytes(b"NOTAFILE" + b"\0" * 64)
@@ -189,6 +202,10 @@ def test_vsl_rejects_garbage(tmp_path):
     bad.write_bytes(bytes(raw))
     with pytest.raises(ValueError, match="version"):
         read_vsl(bad)
+    long = tmp_path / "long.vsl"
+    long.write_bytes(good.read_bytes() + b"\0")
+    with pytest.raises(ValueError, match="trailing"):
+        read_vsl(long)
     with pytest.raises(TypeError):
         write_vsl(tmp_path / "x.vsl", np.zeros(4))
 

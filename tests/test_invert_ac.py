@@ -4,16 +4,14 @@ import warnings
 import numpy as np
 import pytest
 
-from vslice.grid import GridSpec, SliceData, make_grid
+from vslice.grid import GridSpec, SliceData
 from vslice.harness import Phantom, compare, make_phantom
 from vslice.invert_ac import (
     check_equator_decay,
     full_transform,
     invert_ac,
-    invert_ac_even_general,
     invert_ac_n2,
     invert_ac_odd,
-    t_derivative,
 )
 from vslice.invert_john import invert_john
 from vslice.xform import vslice_forward
@@ -46,19 +44,6 @@ def test_full_transform_doubles(round2):
         full_transform(np.zeros(3))
 
 
-def test_t_derivative_matches_analytic():
-    grid = make_grid(GridSpec(2, 8, 12, 64))
-    profile = np.sin(2.5 * grid.t)
-    F = SliceData(grid, np.tile(profile, (grid.n_ang_total, 1)), 0.0)
-    d1 = t_derivative(F, 1)
-    assert np.max(np.abs(d1.values - 2.5 * np.cos(2.5 * grid.t))) < 1e-10
-    d2 = t_derivative(F, 2)
-    assert np.max(np.abs(d2.values + 2.5**2 * np.sin(2.5 * grid.t))) < 1e-8
-    assert t_derivative(F, 0) is F
-    with pytest.raises(ValueError):
-        t_derivative(F, -1)
-
-
 def test_equator_decay_flags_constant(round2):
     _, V = round2
     assert check_equator_decay(V, 0.02) == 0.0
@@ -75,8 +60,6 @@ def test_dimension_guards(round2, round3):
         invert_ac_odd(V2)
     with pytest.raises(ValueError):
         invert_ac_n2(V3)
-    with pytest.raises(ValueError):
-        invert_ac_even_general(V3)
 
 
 def test_zero_data(round2):
@@ -103,14 +86,6 @@ def test_round_trip_n3(round2, round3):
     report = compare(phantom, rec, method="ac")
     assert report.rel_l2_after_scale < 0.03
     assert abs(report.best_fit_scalar - 1.0) < 0.05
-
-
-def test_even_general_degenerates_to_n2(round2):
-    _, V = round2
-    a = invert_ac_n2(V)
-    b = invert_ac_even_general(V)
-    scale = np.max(np.abs(a.smooth))
-    assert np.max(np.abs(a.smooth - b.smooth)) < 1e-13 * scale
 
 
 def test_agrees_with_john_n2(round2):

@@ -3,7 +3,7 @@ import pytest
 
 from vslice.grid import GridSpec, inner_product_sphere
 from vslice.harness import Phantom, compare, make_phantom
-from vslice.invert_hs import finite_difference, invert_hypersingular
+from vslice.invert_hs import invert_hypersingular
 from vslice.invert_john import invert_john
 from vslice.xform import vslice_forward
 
@@ -16,35 +16,8 @@ def round2():
     return phantom, vslice_forward(phantom)
 
 
-def test_finite_difference_first_order_definition():
-    g = lambda p: np.sin(p[..., 0]) * np.cos(2.0 * p[..., 1])
-    x = np.array([0.3, -0.4])
-    y = np.array([0.05, 0.02])
-    got = finite_difference(g, 1, x, y)
-    assert got == pytest.approx(g(x) - g(x - y), abs=1e-15)
-
-
-def test_finite_difference_kills_constants():
-    for ell in range(1, 5):
-        val = finite_difference(lambda p: 7.5, ell, np.zeros(2), np.array([0.1, 0.3]))
-        assert abs(val) < 1e-12
-
-
-def test_finite_difference_second_order_kills_linears():
-    g = lambda p: 2.0 * p[..., 0] - 3.0 * p[..., 1] + 1.0
-    val = finite_difference(g, 2, np.array([0.2, 0.1]), np.array([0.4, -0.7]))
-    assert abs(val) < 1e-12
-
-
-def test_finite_difference_rejects_bad_order():
-    with pytest.raises(ValueError):
-        finite_difference(lambda p: 0.0, 0, np.zeros(2), np.ones(2))
-
-
 def test_invert_hypersingular_guards(round2):
     _, F = round2
-    with pytest.raises(ValueError):
-        invert_hypersingular(F, ell=2)
     with pytest.raises(ValueError):
         invert_hypersingular(F, eps=5.0, r_max=4.0)
     phantom3 = make_phantom(

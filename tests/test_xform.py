@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.interpolate import CubicSpline
 
 from vslice import (
     GridSpec,
@@ -14,13 +15,10 @@ from vslice import (
     inner_product_ball,
     is_even_slice_data,
     lift,
-    log_backproject_pair,
     log_backprojection,
-    log_convolve,
     log_kernel_identity,
     make_grid,
     norm_slices,
-    p_star,
     radon_ball,
     spherical_mean,
     svd_constants,
@@ -28,6 +26,8 @@ from vslice import (
     vslice_forward,
 )
 from vslice.grid import BallFunction, norm_ball
+from vslice.specfun import sphere_area
+from vslice.xform import LOG_TABLE_NODES, LOG_TABLE_SPAN, _log_moment_matrix
 
 
 def _cap_profile(dot, width):
@@ -309,7 +309,7 @@ def test_dual_radon_shape_and_types(g2):
     assert out.shape == (2, 3)
 
 
-# -- log_convolve ---------------------------------------------------------------
+# -- log convolution: the moment matrix behind log_backprojection -------------
 
 
 def _log_conv_const(s):
@@ -317,28 +317,23 @@ def _log_conv_const(s):
 
 
 def test_log_convolve_constant_closed_form(g2):
-    F = SliceData(g2, np.ones((g2.n_ang_total, 128)))
-    L = log_convolve(F)
+    W = _log_moment_matrix(g2.t, g2.t)
     want = _log_conv_const(g2.t)
-    assert np.max(np.abs(L.values - want[None, :])) < 1e-12
-    assert L.boundary_exponent == 0.0
+    assert np.max(np.abs(W @ np.ones(128) - want)) < 1e-12
 
 
 def test_log_convolve_zero(g2):
-    F = SliceData(g2, np.zeros((g2.n_ang_total, 128)))
-    assert np.all(log_convolve(F).values == 0.0)
+    assert np.all(_log_moment_matrix(g2.t, g2.t) @ np.zeros(128) == 0.0)
 
 
 def test_log_convolve_even_symmetry(g2):
-    vals = np.tile(np.exp(-3 * g2.t**2), (g2.n_ang_total, 1))
-    L = log_convolve(SliceData(g2, vals)).values
-    assert np.max(np.abs(L - L[:, ::-1])) < 1e-12
+    L = _log_moment_matrix(g2.t, g2.t) @ np.exp(-3 * g2.t**2)
+    assert np.max(np.abs(L - L[::-1])) < 1e-12
 
 
 def test_log_convolve_against_adaptive_quad(g2):
     prof = np.cos(2.0 * g2.t) * (1 - g2.t**2)
-    F = SliceData(g2, np.tile(prof, (g2.n_ang_total, 1)))
-    L = log_convolve(F).values[0]
+    L = _log_moment_matrix(g2.t, g2.t) @ prof
     fn = lambda t: math.cos(2.0 * t) * (1 - t * t)
     for j in (5, 40, 64, 90, 120):
         s = g2.t[j]
@@ -359,36 +354,46 @@ def test_spherical_mean_constant(g2, g3):
         spherical_mean(one, theta, 1.0)
 
 
-# -- n = 2 log pair ---------------------------------------------------------------
+# -- antipodal fold --------------------------------------------------------------
 
 
-def test_log_pair_constant_profile(g2):
-    one = SphereFunction(
-        g2, np.ones((g2.n_ang_total, 96)), 0.0, lambda p: np.ones(np.asarray(p).shape[:-1])
-    )
-    N, P = log_backproject_pair(one)
-    want = 2 * math.pi * _log_conv_const(g2.t)
-    assert np.max(np.abs(N.values - want[None, :])) < 1e-9
-    # at the origin every profile contributes N(theta, 0)
-    assert P(np.zeros((1, 2)))[0] == pytest.approx(2 * math.pi * _log_conv_const(0.0), abs=1e-6)
+def _all_directions(F, pts, profile_at):
+    """(1/sigma_{n-1}) sum over every direction of profile_at(i, theta_i . x)."""
+    g = F.grid
+    total = sum(g.ang_weight[i] * profile_at(i, pts @ g.ang[i]) for i in range(g.n_ang_total))
+    return total / sphere_area(g.spec.n)
 
 
-def test_log_pair_zero_and_errors(g2, g3):
-    Z = SliceData(g2, np.zeros((g2.n_ang_total, 128)))
-    N, P = log_backproject_pair(Z)
-    assert np.all(N.values == 0.0)
-    assert np.max(np.abs(P(np.array([[0.3, 0.1]])))) == 0.0
-    with pytest.raises(ValueError):
-        log_backproject_pair(SliceData(g3, np.zeros((g3.n_ang_total, 32))))
-    with pytest.raises(TypeError):
-        log_backproject_pair("nope")
+@pytest.mark.parametrize("spec", [GridSpec(2, 64, 16, 32), GridSpec(3, 8, 12, 16)])
+def test_dual_radon_fold_exact_on_odd_data(spec):
+    # random data have an odd part; folding antipodal pairs must still equal
+    # the sum over every direction of the per-direction splines
+    g = make_grid(spec)
+    rng = np.random.default_rng(11)
+    F = SliceData(g, rng.normal(size=(g.n_ang_total, spec.n_t)), 0.5)
+    assert not is_even_slice_data(F)
+    pts = rng.uniform(-0.9, 0.9, size=(200, spec.n))
+    x = np.concatenate(([-1.0], g.t, [1.0]))
+
+    def profile_at(i, s):
+        spline = CubicSpline(x, np.concatenate(([0.0], F.values[i], [0.0])), bc_type="natural")
+        return np.where(np.abs(s) < 1.0, spline(np.clip(s, -1.0, 1.0)), 0.0)
+
+    want = _all_directions(F, pts, profile_at)
+    got = dual_radon(F, pts)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-def test_p_star_equals_dual_radon(g2):
-    rng = np.random.default_rng(3)
-    F = SliceData(g2, rng.normal(size=(g2.n_ang_total, 128)))
-    pts = rng.uniform(-0.6, 0.6, size=(5, 2))
-    assert np.array_equal(p_star(F, pts), dual_radon(F, pts))
+def test_log_backprojection_fold_exact_on_odd_data():
+    g = make_grid(GridSpec(2, 64, 16, 32))
+    rng = np.random.default_rng(12)
+    F = SliceData(g, rng.normal(size=(g.n_ang_total, 32)), 0.5)
+    pts = rng.uniform(-1.2, 1.2, size=(200, 2))
+    s = np.linspace(-LOG_TABLE_SPAN, LOG_TABLE_SPAN, LOG_TABLE_NODES)
+    table = F.values @ _log_moment_matrix(g.t, s).T
+    want = _all_directions(F, pts, lambda i, si: np.interp(si, s, table[i]))
+    got = log_backprojection(F, pts)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_log_backprojection_center_value(g2):
