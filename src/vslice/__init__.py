@@ -9,7 +9,7 @@ and analytic continuation of spherical means.
 """
 
 from .acceptance import CriterionResult, Workspace, run_acceptance
-from .cartesian import cartesian_nodes, grid_step, neg_laplacian, sample_box
+from .cartesian import cartesian_nodes
 from .grid import (
     BallFunction,
     Grid,
@@ -79,7 +79,6 @@ from .specfun import (
 from .xform import (
     dual_radon,
     is_even_slice_data,
-    log_backprojection,
     log_kernel_identity,
     radon_ball,
     spherical_mean,

@@ -1,20 +1,14 @@
-"""Uniform Cartesian grids for the backprojection/Laplacian pipelines.
+"""Uniform Cartesian lattices for the hypersingular route's backprojection tables.
 
-The reconstruction formulas differentiate a backprojected potential that
-lives on all of R^n, so we tabulate it on a padded box [-hw, hw]^n with
-hw > 1 and apply a second-order stencil.  The one-node border (where the
-stencil has no neighbours) is outside the closed unit ball for the default
-padding and is filled by edge replication, which keeps the cubic-spline
-resampling inside the ball clean.
+The hypersingular annulus sum evaluates the backprojection far off the chart
+nodes, out to the outer truncation radius, so it tabulates it on padded
+boxes [-hw, hw]^n and resamples those tables by cubic splines.
 """
 
 import numpy as np
-from scipy.ndimage import map_coordinates
-
-DEFAULT_HALFWIDTH = 1.1
 
 
-def cartesian_nodes(n, count, halfwidth=DEFAULT_HALFWIDTH):
+def cartesian_nodes(n, count, halfwidth):
     """Axis coordinates and flattened node list for a [-hw, hw]^n lattice.
 
     Returns (axis, pts): axis has shape (count,), pts has shape
@@ -28,41 +22,3 @@ def cartesian_nodes(n, count, halfwidth=DEFAULT_HALFWIDTH):
     mesh = np.meshgrid(*([axis] * n), indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=-1)
     return axis, pts
-
-
-def grid_step(count, halfwidth=DEFAULT_HALFWIDTH):
-    return 2.0 * halfwidth / (count - 1)
-
-
-def neg_laplacian(values, h):
-    """Second-order 5-point (2-D) / 7-point (3-D) stencil for -Laplace.
-
-    The outermost layer is replaced by edge replication of the first
-    interior layer; callers keep it outside the region of interest.
-    """
-    v = np.asarray(values, dtype=float)
-    if v.ndim not in (2, 3):
-        raise ValueError("expected a 2-D or 3-D array")
-    out = (2.0 * v.ndim) * v
-    for ax in range(v.ndim):
-        out -= np.roll(v, 1, axis=ax) + np.roll(v, -1, axis=ax)
-    out /= h * h
-    inner = out[(slice(1, -1),) * v.ndim]
-    return np.pad(inner, 1, mode="edge")
-
-
-def sample_box(values, pts, halfwidth=DEFAULT_HALFWIDTH):
-    """Cubic-spline samples of a lattice table at physical points.
-
-    values is the (count,)*n table from cartesian_nodes ordering; pts has
-    shape (..., n) in the same physical coordinates.
-    """
-    v = np.asarray(values, dtype=float)
-    p = np.asarray(pts, dtype=float)
-    if p.shape[-1] != v.ndim:
-        raise ValueError("point dimension does not match the table")
-    scale = (v.shape[0] - 1) / (2.0 * halfwidth)
-    idx = (p + halfwidth) * scale
-    coords = np.moveaxis(idx.reshape(-1, v.ndim), -1, 0)
-    out = map_coordinates(v, coords, order=3, mode="nearest")
-    return out.reshape(p.shape[:-1])

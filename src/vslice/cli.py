@@ -92,7 +92,6 @@ def _build_parser():
     p.add_argument("--report", help="write the ValidationReport JSON here")
     p.add_argument("--band", type=int, default=8, help="svd: spectral cutoff band")
     p.add_argument("--lam", type=float, help="svd: weight parameter (default n/2)")
-    p.add_argument("--resolution", type=int, help="john/ac: backprojection lattice size")
     p.add_argument("--eps", type=float, help="hs: inner cutoff radius")
     p.add_argument("--rmax", type=float, default=4.0, help="hs: outer truncation radius")
     _add_config_flag(p)
@@ -235,18 +234,17 @@ def _run_invert(args):
     if not isinstance(data, SliceData):
         raise ValueError("input file holds a hemisphere function, not slice data")
 
-    resolution = None if args.resolution is None else int(args.resolution)
     t0 = time.perf_counter()
     if args.method == "john":
         from .invert_john import invert_john
 
-        rec = invert_john(data, resolution)
+        rec = invert_john(data)
     elif args.method == "ac":
         from .invert_ac import full_transform, invert_ac
 
         # forward writes half-transform sinograms; the continuation formulas
         # take the full (doubled) transform
-        rec = invert_ac(full_transform(data), resolution)
+        rec = invert_ac(full_transform(data))
     elif args.method == "hs":
         from .invert_hs import invert_hypersingular
 

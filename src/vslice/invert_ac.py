@@ -3,12 +3,13 @@
 Both reconstruction routes here consume the FULL slice transform V = 2 V_+;
 `vslice_forward` produces V_+, so callers double it first (see
 `full_transform`).  In three dimensions the continued formula is a plain
-backprojection followed by the Laplacian, in two a log-filtered one.  The
-formulas assume functions that vanish identically near the equator; for such
-data the filtered profiles g_theta(t) = F(theta, t) (1-t^2)^(-1/2) drop to
-zero before the endpoints, which is what keeps the division by sqrt(1-t^2)
-and the log filter well behaved.  The module warns when the data visibly
-violates that decay.
+backprojection followed by the Laplacian, in two a log-filtered one; both
+run through the filtered backprojection of `invert_john` with their own
+constants.  The formulas assume functions that vanish identically near the
+equator; for such data the filtered profiles
+g_theta(t) = F(theta, t) (1-t^2)^(-1/2) drop to zero before the endpoints,
+which is what keeps the division by sqrt(1-t^2) and the log filter well
+behaved.  The module warns when the data visibly violates that decay.
 """
 
 import warnings
@@ -16,14 +17,8 @@ import warnings
 import numpy as np
 
 from .grid import SliceData
-from .invert_john import (
-    JOHN_RESOLUTION_N2,
-    JOHN_RESOLUTION_N3,
-    _backproject_laplacian,
-    _plane_data,
-)
+from .invert_john import _plane_data, _reconstruct
 from .specfun import method_constants, sphere_area
-from .xform import dual_radon, log_backprojection
 
 DECAY_BAND = 0.02  # relative width of the rim band probed before inverting
 DECAY_TOLERANCE = 1e-8
@@ -64,7 +59,7 @@ def _decay_guard(F):
         )
 
 
-def invert_ac_odd(F, resolution=None):
+def invert_ac_odd(F):
     """Three-dimensional reconstruction from the full transform V.
 
     The t-derivative order n-3 is zero here, so the formula is a pure
@@ -74,14 +69,10 @@ def invert_ac_odd(F, resolution=None):
     if F.grid.spec.n != 3:
         raise ValueError("invert_ac_odd requires n = 3 slice data")
     _decay_guard(F)
-    g = _plane_data(F)
-    c = method_constants(3).lambda_n
-    area = sphere_area(3)
-    res = resolution or JOHN_RESOLUTION_N3
-    return _backproject_laplacian(F, lambda pts: area * dual_radon(g, pts), c, res)
+    return _reconstruct(F, method_constants(3).lambda_n * sphere_area(3))
 
 
-def invert_ac_n2(F, resolution=None):
+def invert_ac_n2(F):
     """Two-dimensional reconstruction from the full transform V.
 
     The published constant is 1/(8 pi^2) against an unnormalized direction
@@ -91,14 +82,11 @@ def invert_ac_n2(F, resolution=None):
     if F.grid.spec.n != 2:
         raise ValueError("invert_ac_n2 requires n = 2 slice data")
     _decay_guard(F)
-    g = _plane_data(F)
-    c = -sphere_area(2) / (8.0 * np.pi**2)
-    res = resolution or JOHN_RESOLUTION_N2
-    return _backproject_laplacian(F, lambda pts: log_backprojection(g, pts), c, res)
+    return _reconstruct(F, -sphere_area(2) / (8.0 * np.pi**2))
 
 
-def invert_ac(F, resolution=None):
+def invert_ac(F):
     """Dispatch on the dimension of the slice data."""
     if F.grid.spec.n == 2:
-        return invert_ac_n2(F, resolution)
-    return invert_ac_odd(F, resolution)
+        return invert_ac_n2(F)
+    return invert_ac_odd(F)

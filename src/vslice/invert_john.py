@@ -1,21 +1,20 @@
-"""Backprojection-plus-Laplacian reconstruction from slice data.
+"""Filtered-backprojection reconstruction from slice data.
 
 Dividing slice data by sqrt(1-t^2) turns slice integrals into plane
 integrals of the lifted chart function.  Backprojecting those and applying
 the negative Laplacian recovers the lift: directly in three dimensions,
-through a logarithmic filter in the offset variable in two.  The result is
-multiplied back by |x_{n+1}| to give the even function on the sphere.
+through a logarithmic filter in the offset variable in two.  Backprojection
+commutes with the Laplacian, so each profile is filtered once in t (-d^2/dt^2,
+after the log filter when n = 2) and backprojected straight onto the chart
+nodes.  The result is multiplied back by |x_{n+1}| to give the even function
+on the sphere.
 """
 
 import numpy as np
 
-from .cartesian import cartesian_nodes, grid_step, neg_laplacian, sample_box
 from .grid import BallFunction, SliceData, project
 from .specfun import method_constants
-from .xform import dual_radon, log_backprojection
-
-JOHN_RESOLUTION_N2 = 256
-JOHN_RESOLUTION_N3 = 64
+from .xform import _filtered_backprojection
 
 
 def _plane_data(F):
@@ -27,45 +26,28 @@ def _plane_data(F):
     return SliceData(F.grid, F.smooth, F.boundary_exponent - 0.5)
 
 
-def _backproject_laplacian(F, backprojector, constant, resolution):
-    grid = F.grid
-    n = grid.spec.n
-    axis, pts = cartesian_nodes(n, resolution)
-    h = grid_step(resolution)
-    table = backprojector(pts).reshape((resolution,) * n)
-    lap = constant * neg_laplacian(table, h)
-    smooth = sample_box(lap, grid.ball_points)
-    return project(BallFunction(grid, smooth))
+def _reconstruct(F, constant):
+    """constant * (filtered backprojection of the plane data), on the sphere."""
+    smooth = constant * _filtered_backprojection(_plane_data(F))
+    return project(BallFunction(F.grid, smooth))
 
 
-def invert_odd(F, resolution=None):
+def invert_odd(F):
     """Three-dimensional reconstruction: local filtered backprojection."""
     if F.grid.spec.n != 3:
         raise ValueError("invert_odd requires n = 3 slice data")
-    phi = _plane_data(F)
-    c = method_constants(3).c_n
-    res = resolution or JOHN_RESOLUTION_N3
-    return _backproject_laplacian(F, lambda pts: dual_radon(phi, pts), c, res)
+    return _reconstruct(F, method_constants(3).c_n)
 
 
-def invert_even(F, resolution=None):
-    """Two-dimensional reconstruction: log-filtered backprojection.
-
-    The log filter has unbounded support in the offset variable, so the
-    backprojection is evaluated through a fine offset table rather than by
-    composing the two grid-level operators.
-    """
+def invert_even(F):
+    """Two-dimensional reconstruction: log-filtered backprojection."""
     if F.grid.spec.n != 2:
         raise ValueError("invert_even requires n = 2 slice data")
-    phi = _plane_data(F)
-    c = method_constants(2).c_hat_n
-    res = resolution or JOHN_RESOLUTION_N2
-    return _backproject_laplacian(F, lambda pts: log_backprojection(phi, pts), c, res)
+    return _reconstruct(F, method_constants(2).c_hat_n)
 
 
-def invert_john(F, resolution=None):
+def invert_john(F):
     """Dispatch on the dimension of the slice data."""
-    n = F.grid.spec.n
-    if n == 2:
-        return invert_even(F, resolution)
-    return invert_odd(F, resolution)
+    if F.grid.spec.n == 2:
+        return invert_even(F)
+    return invert_odd(F)

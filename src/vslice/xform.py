@@ -7,15 +7,18 @@ hyperplane Radon transform of the lifted ball function, which is what the
 production path computes; ``vslice_direct`` quadratures the slice integral
 from scratch in a different chart and serves as the independent oracle.
 
-Also here: the dual (backprojection) operator and its log-filtered form for
-the even-dimensional inversion formulas, both summed over one direction per
-antipodal pair of folded profiles, and spherical means.
+Also here: the dual (backprojection) operator, and the filtered
+backprojection the `john` and `ac` inversions share, which filters each
+profile once in the offset variable (-d^2/dt^2, after a log convolution when
+n = 2) and backprojects it onto the chart nodes.  Both sum one direction per
+antipodal pair of folded profiles.  And spherical means.
 """
 
 import math
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebder, chebvander
 from scipy.interpolate import CubicSpline
 from scipy.special import roots_jacobi, roots_legendre
 
@@ -32,10 +35,9 @@ DISK_NODES_N3 = 48
 
 _BACKPROJECT_CHUNK = 4096
 
-# Uniform offset table of the log-filtered profiles: it spans every theta . x
-# that a padded Cartesian reconstruction grid can produce.
-LOG_TABLE_NODES = 8193
-LOG_TABLE_SPAN = 1.75
+# Node count of the uniform offset table the filtered profiles are
+# backprojected from.
+TABLE_NODES = 8193
 
 
 @lru_cache(maxsize=256)
@@ -406,9 +408,9 @@ def _fold(F):
 def _dual_rep(F):
     # C^2 cubic spline of each folded t-profile, endpoints pinned to zero at
     # t = +-1 (slice data of integrable functions vanishes there).
-    # Twice-continuous interpolation matters downstream: reconstruction
-    # formulas difference the backprojection, and kinks in the interpolant
-    # show up amplified by the stencil.
+    # Twice-continuous interpolation matters downstream: the hypersingular
+    # route differences the backprojection at small offsets, which amplifies
+    # kinks in the interpolant.
     rep = getattr(F, "_dual_coeffs", None)
     if rep is None:
         ang, w, folded = _fold(F)
@@ -514,37 +516,89 @@ def _log_moment_matrix(t_nodes, s_points):
     return W
 
 
-@lru_cache(maxsize=16)
-def _log_matrix_fine(grid):
-    s = np.linspace(-LOG_TABLE_SPAN, LOG_TABLE_SPAN, LOG_TABLE_NODES)
-    W = _log_moment_matrix(grid.t, s)
-    s.setflags(write=False)
-    return s, W
+# -- filtered backprojection ---------------------------------------------------
 
 
-def log_backprojection(F, pts):
-    """Backprojected log filter (1/sigma_{n-1}) int (LF)(theta, theta . x) dtheta,
-    with (LF)(theta, s) = int log|s - t| F(theta, t) dt.
+def _log_filter_matrix(t, s):
+    """-d^2/ds^2 of (Lg)(s) = int log|s - u| g(u) du as a matrix on node values.
 
-    The log moments of each linear cell are integrated in closed form, so the
-    integrable singularity at s = t costs no accuracy.  Unlike plain slice
-    data, LF does not vanish for |s| > 1, so the filtered folded profiles are
-    tabulated on the uniform s-grid above, then linearly interpolated per
-    direction.
+    g is the natural cubic spline through the values at t, pinned to zero at
+    u = +-1 (the spline `dual_radon` uses).  Its g'' is piecewise linear on
+    the knots [-1, t, 1], so (Lg)'' = L(g'') + g'(-1) log|s+1| - g'(1) log|s-1|
+    is exact with the closed-form log moments.
     """
-    if not isinstance(F, SliceData):
-        raise TypeError("log_backprojection expects SliceData")
-    s, W = _log_matrix_fine(F.grid)
-    ang, w, folded = _fold(F)
-    T = folded @ W.T
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    S = ang @ pts.T
-    if np.abs(S).max() >= LOG_TABLE_SPAN:
-        raise ValueError("backprojection points exceed the tabulated log range")
-    acc = np.zeros(pts.shape[0])
+    x = np.concatenate(([-1.0], t, [1.0]))
+    basis = np.zeros((x.size, t.size))
+    basis[1:-1] = np.eye(t.size)
+    spline = CubicSpline(x, basis, bc_type="natural")
+    d1 = spline(np.array([-1.0, 1.0]), 1)
+    W = _log_moment_matrix(x, s)
+    return (
+        -W @ spline(x, 2)
+        - np.log(np.abs(s + 1.0))[:, None] * d1[0]
+        + np.log(np.abs(s - 1.0))[:, None] * d1[1]
+    )
+
+
+def _plane_filter_matrix(t, s, a):
+    """-d^2/ds^2 of p(s) (1-s^2)^a as a matrix on the node values p(t_j) (1-t_j^2)^a.
+
+    p is the degree-(n_t - 1) interpolant of the smooth part; the boundary
+    factor is differentiated analytically.  Needs |s| < 1.
+    """
+    deg = t.size - 1
+    coef = np.linalg.solve(chebvander(t, deg), np.diag((1.0 - t * t) ** -a))
+    p0 = chebvander(s, deg) @ coef
+    p1 = chebvander(s, deg - 1) @ chebder(coef, 1)
+    p2 = chebvander(s, deg - 2) @ chebder(coef, 2)
+    q = 1.0 - s * s
+    w0 = q**a
+    w1 = -2.0 * a * s * q ** (a - 1.0)
+    w2 = -2.0 * a * q ** (a - 1.0) + 4.0 * a * (a - 1.0) * s * s * q ** (a - 2.0)
+    return -(p2 * w0[:, None] + 2.0 * p1 * w1[:, None] + p0 * w2[:, None])
+
+
+@lru_cache(maxsize=16)
+def _filter_table(grid, exponent):
+    """(s, M): the uniform offset table and the matrix taking node values of
+    plane data with boundary exponent `exponent` to their filtered profile on it.
+
+    The filter is -d^2/ds^2 for n = 3, where the exponent enters, and
+    -d^2/ds^2 of the log convolution for n = 2.  The table spans the largest
+    chart radius, which bounds theta . x' at every chart node.
+    """
+    span = float(grid.r.max())
+    s = np.linspace(-span, span, TABLE_NODES)
+    s = 0.5 * (s - s[::-1])
+    if grid.spec.n == 2:
+        M = _log_filter_matrix(grid.t, s)
+    else:
+        M = _plane_filter_matrix(grid.t, s, exponent)
+    # exact under t -> -t, s -> -s like the nodes, so that filtering the
+    # reversed profile of a folded pair costs no rounding beyond the sums
+    M = 0.5 * (M + M[::-1, ::-1])
+    s.setflags(write=False)
+    M.setflags(write=False)
+    return s, M
+
+
+def _filtered_backprojection(G):
+    """(1/sigma_{n-1}) int (KG)(theta, theta . x') dtheta at the chart nodes,
+    with K the filter of `_filter_table`, shape (n_ang_total, n_radial).
+
+    Backprojection commutes with the Laplacian, -Delta R*g = R*(-g''), so the
+    filter acts once per folded profile.  The filtered profiles are
+    tabulated on a uniform offset grid and linearly interpolated there.
+    """
+    grid = G.grid
+    s, M = _filter_table(grid, G.boundary_exponent)
+    ang, w, folded = _fold(G)
+    table = folded @ M.T
+    pts = grid.ball_points
+    out = np.zeros(pts.shape[:-1])
     for k in range(len(w)):
-        acc += w[k] * np.interp(S[k], s, T[k])
-    return acc
+        out += w[k] * np.interp(pts @ ang[k], s, table[k])
+    return out
 
 
 # -- spherical means -----------------------------------------------------------

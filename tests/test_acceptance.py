@@ -6,9 +6,14 @@ artifacts are shared through a module-scoped workspace, so the criteria run
 with the same cached forwards and reconstructions the CLI selftest uses.
 """
 
+import math
+
+import numpy as np
 import pytest
 
 from vslice import acceptance
+from vslice.grid import GridSpec, SphereFunction, make_grid
+from vslice.specfun import method_constants
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +54,13 @@ def test_criterion_06_john_round_trips(ws):
     res = _run(acceptance.criterion_6, ws)
     # the even-route constant discrepancy must be reported, not silently absorbed
     assert any("scalar" in note for note in res.notes)
+
+
+def test_n2_published_constant_relation(ws):
+    # the best-fit scalar of the n = 2 john route times the published c_hat_2
+    # is the exact constant -1/(2 pi) of the even formula
+    product = method_constants(2).c_hat_n * ws.john2_report().best_fit_scalar
+    assert abs(product * 2.0 * math.pi + 1.0) < 1e-5
 
 
 def test_criterion_07_hypersingular_inversion(ws):
@@ -97,3 +109,14 @@ def test_workspace_times_are_exclusive(monkeypatch):
     assert ws.get(*top) == "top"
     assert (ws.seconds("leaf"), ws.seconds("mid"), ws.seconds("top")) == (2.0, 4.0, 0.75)
     assert ws.get(*mid) == "mid" and ws.seconds("mid") == 4.0
+
+
+def test_masked_cross_error_of_scaled_copy_is_zero():
+    # two fields equal up to scale must read zero to rounding, not the square
+    # root of a cancelled difference
+    g = make_grid(GridSpec(2, 64, 24, 32))
+    rng = np.random.default_rng(3)
+    ref = SphereFunction(g, rng.normal(size=(g.n_ang_total, g.spec.n_radial)), 0.5)
+    for scale in (1.0, -0.5641895835477563, 3.7):
+        rec = SphereFunction(g, ref.smooth / scale, 0.5)
+        assert acceptance._masked_cross_error(rec, ref) <= 1e-12

@@ -1,12 +1,6 @@
-import numpy as np
 import pytest
 
-from vslice.cartesian import (
-    cartesian_nodes,
-    grid_step,
-    neg_laplacian,
-    sample_box,
-)
+from vslice.cartesian import cartesian_nodes
 
 
 def test_nodes_shapes_and_order():
@@ -21,67 +15,6 @@ def test_nodes_shapes_and_order():
 
 def test_nodes_rejects_bad_args():
     with pytest.raises(ValueError):
-        cartesian_nodes(4, 16)
+        cartesian_nodes(4, 16, 1.0)
     with pytest.raises(ValueError):
-        cartesian_nodes(2, 2)
-
-
-def test_neg_laplacian_quadratic_exact():
-    # the stencil is exact on quadratics
-    axis, pts = cartesian_nodes(2, 41)
-    h = grid_step(41)
-    x, y = pts[:, 0].reshape(41, 41), pts[:, 1].reshape(41, 41)
-    table = 3.0 * x**2 - 2.0 * y**2 + 0.5 * x * y + x - 7.0
-    res = neg_laplacian(table, h)
-    assert np.allclose(res[1:-1, 1:-1], -2.0, atol=1e-10)
-
-
-def test_neg_laplacian_eoc_second_order():
-    # -Laplace of exp(-|x|^2) is (2n - 4|x|^2) exp(-|x|^2); the discrete
-    # stencil should approach it at second order under grid refinement.
-    def potential(pts):
-        r2 = np.sum(pts**2, axis=-1)
-        return np.exp(-r2)
-
-    def density(pts):
-        r2 = np.sum(pts**2, axis=-1)
-        return (2 * pts.shape[-1] - 4.0 * r2) * np.exp(-r2)
-
-    errs = []
-    for count in (65, 129):
-        axis, pts = cartesian_nodes(3, count)
-        h = grid_step(count)
-        shape = (count,) * 3
-        table = potential(pts).reshape(shape)
-        res = neg_laplacian(table, h)
-        want = density(pts).reshape(shape)
-        core = (slice(2, -2),) * 3
-        errs.append(np.max(np.abs(res[core] - want[core])))
-    eoc = np.log2(errs[0] / errs[1])
-    assert 1.7 <= eoc <= 2.3
-
-
-def test_neg_laplacian_rejects_1d():
-    with pytest.raises(ValueError):
-        neg_laplacian(np.zeros(8), 0.1)
-
-
-def test_sample_box_reproduces_cubics():
-    # spline prefiltering assumes mirror boundaries, so exactness on cubics
-    # holds only away from the box edge (the deficit decays geometrically)
-    axis, pts = cartesian_nodes(2, 33)
-    table = (pts[:, 0] ** 3 - pts[:, 1] ** 2 + 2.0).reshape(33, 33)
-    rng = np.random.default_rng(11)
-    q = rng.uniform(-0.5, 0.5, size=(200, 2))
-    got = sample_box(table, q)
-    want = q[:, 0] ** 3 - q[:, 1] ** 2 + 2.0
-    assert np.max(np.abs(got - want)) < 1e-6
-
-
-def test_sample_box_shape_and_dim_check():
-    axis, pts = cartesian_nodes(3, 9)
-    table = np.zeros((9, 9, 9))
-    out = sample_box(table, np.zeros((4, 5, 3)))
-    assert out.shape == (4, 5)
-    with pytest.raises(ValueError):
-        sample_box(table, np.zeros((4, 2)))
+        cartesian_nodes(2, 2, 1.0)

@@ -31,7 +31,12 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert cli(["forward", "--phantom", "bump", "--n", "2", "--out", "s.vsl"]) == 2  # no center
     assert cli(["svd-table", "--band", "4"]) == 2  # no n
     assert cli(["selftest", "--criteria", "0,13"]) == 2
-    capsys.readouterr()
+    # the backprojection table is sized from the grid; there is no resolution knob
+    assert cli(["invert", "--method", "john", "--in", "x.vsl", "--resolution", "96"]) == 2
+    cfg = tmp_path / "res.json"
+    cfg.write_text(json.dumps({"method": "john", "infile": "x.vsl", "resolution": 96}))
+    assert cli(["invert", "--config", str(cfg)]) == 2
+    assert "resolution" in capsys.readouterr().err
 
 
 def test_missing_input_exits_1(tmp_path, capsys):
@@ -73,7 +78,7 @@ def test_invert_svd_report(artifacts, tmp_path, capsys):
 def test_invert_john_and_ac_reports(artifacts, tmp_path, capsys):
     _, ph, sino = artifacts
     out = tmp_path / "rec.vsl"
-    rc = cli(["invert", "--method", "john", "--resolution", "96", "--in", str(sino),
+    rc = cli(["invert", "--method", "john", "--in", str(sino),
               "--truth", str(ph), "--out", str(out)])
     assert rc == 0
     printed = capsys.readouterr().out
@@ -83,7 +88,7 @@ def test_invert_john_and_ac_reports(artifacts, tmp_path, capsys):
     rec, _ = read_vsl(str(out))
     assert rec.grid.spec == read_vsl(str(sino))[0].grid.spec
 
-    rc = cli(["invert", "--method", "ac", "--resolution", "96", "--in", str(sino),
+    rc = cli(["invert", "--method", "ac", "--in", str(sino),
               "--truth", str(ph)])
     assert rc == 0
     ac = json.loads(capsys.readouterr().out)

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
+from scipy.special import eval_chebyu
 
 from vslice import (
     GridSpec,
@@ -15,7 +17,6 @@ from vslice import (
     inner_product_ball,
     is_even_slice_data,
     lift,
-    log_backprojection,
     log_kernel_identity,
     make_grid,
     norm_slices,
@@ -27,7 +28,7 @@ from vslice import (
 )
 from vslice.grid import BallFunction, norm_ball
 from vslice.specfun import sphere_area
-from vslice.xform import LOG_TABLE_NODES, LOG_TABLE_SPAN, _log_moment_matrix
+from vslice.xform import _log_filter_matrix, _log_moment_matrix, _plane_filter_matrix
 
 
 def _cap_profile(dot, width):
@@ -309,7 +310,7 @@ def test_dual_radon_shape_and_types(g2):
     assert out.shape == (2, 3)
 
 
-# -- log convolution: the moment matrix behind log_backprojection -------------
+# -- log convolution: the moment matrix behind the n = 2 filter ----------------
 
 
 def _log_conv_const(s):
@@ -384,24 +385,42 @@ def test_dual_radon_fold_exact_on_odd_data(spec):
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-def test_log_backprojection_fold_exact_on_odd_data():
-    g = make_grid(GridSpec(2, 64, 16, 32))
-    rng = np.random.default_rng(12)
-    F = SliceData(g, rng.normal(size=(g.n_ang_total, 32)), 0.5)
-    pts = rng.uniform(-1.2, 1.2, size=(200, 2))
-    s = np.linspace(-LOG_TABLE_SPAN, LOG_TABLE_SPAN, LOG_TABLE_NODES)
-    table = F.values @ _log_moment_matrix(g.t, s).T
-    want = _all_directions(F, pts, lambda i, si: np.interp(si, s, table[i]))
-    got = log_backprojection(F, pts)
-    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+# -- the t-filters of the filtered backprojection --------------------------------
 
 
-def test_log_backprojection_center_value(g2):
-    F = SliceData(g2, np.ones((g2.n_ang_total, 128)))
-    v = log_backprojection(F, np.zeros((1, 2)))[0]
-    assert v == pytest.approx(_log_conv_const(0.0), abs=1e-7)
-    with pytest.raises(ValueError):
-        log_backprojection(F, np.array([[5.0, 0.0]]))
+@pytest.mark.parametrize("rule", ["chebyshev", "gauss_legendre"])
+def test_log_filter_closed_form(rule):
+    # g = sqrt(1-t^2) U_{k-1}: its Hilbert transform is pi T_k, so
+    # -d^2/ds^2 int log|s - t| g(t) dt = -pi k U_{k-1}(s) on |s| < 1; the
+    # spline through the node values carries the error near the rims
+    g = make_grid(GridSpec(2, 16, 8, 128, t_rule=rule))
+    s = np.linspace(-0.9, 0.9, 181)
+    M = _log_filter_matrix(g.t, s)
+    for k in range(1, 6):
+        want = -math.pi * k * eval_chebyu(k - 1, s)
+        got = M @ (np.sqrt(1.0 - g.t**2) * eval_chebyu(k - 1, g.t))
+        assert np.max(np.abs(got - want)) < 1e-4 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("rule", ["chebyshev", "gauss_legendre"])
+def test_plane_filter_closed_form(rule):
+    # polynomial smooth parts are interpolated exactly, and the boundary
+    # factor is differentiated analytically
+    g = make_grid(GridSpec(3, 8, 8, 32, t_rule=rule))
+    s = np.linspace(-0.95, 0.95, 191)
+    # a = 1/2: sqrt(1-t^2) U_{k-1}(t) = sin(k phi) with t = cos(phi)
+    M = _plane_filter_matrix(g.t, s, 0.5)
+    phi = np.arccos(s)
+    sn = np.sin(phi)
+    for k in (1, 3, 6):
+        second = -k * k * np.sin(k * phi) / sn**2 - k * np.cos(k * phi) * s / sn**3
+        got = M @ (np.sqrt(1.0 - g.t**2) * eval_chebyu(k - 1, g.t))
+        assert np.max(np.abs(got + second)) < 1e-10 * np.max(np.abs(second))
+    # a = 1: the profile is a polynomial
+    h = Polynomial([1.0, 2.0, 0.0, -3.0, 1.0]) * Polynomial([1.0, 0.0, -1.0])
+    got = _plane_filter_matrix(g.t, s, 1.0) @ h(g.t)
+    want = -h.deriv(2)(s)
+    assert np.max(np.abs(got - want)) < 1e-10 * np.max(np.abs(want))
 
 
 def test_log_kernel_identity():
