@@ -8,8 +8,10 @@ A smooth bump away from the equator is sliced forward, then recovered by
   svd   spectral division by the singular values on a band
   ac    analytic continuation of the spherical-mean formulas
 
-The four implementations share no inversion code, so agreement here is a
-real consistency check.  The john route's n = 2 best-fit scalar sits near
+john and ac apply one offset filter with their own constants, hs its
+annulus multiplier, all through one table backprojection; svd shares
+nothing but the grid.  Agreement here checks the formulas and constants,
+not separate code.  The john route's n = 2 best-fit scalar sits near
 -1/sqrt(pi) = -0.5642 rather than 1: that is the documented constant
 discrepancy of the published even-dimensional formula, and exactly the
 reason the comparison below looks at shape error after scaling.

@@ -25,7 +25,7 @@ from .grid import (
 )
 from .harness import Phantom, compare, make_phantom
 from .invert_ac import full_transform, invert_ac_n2, invert_ac_odd
-from .invert_hs import FINE_COUNT, FINE_HALFWIDTH, invert_hypersingular
+from .invert_hs import DEFAULT_EPS, invert_hypersingular
 from .invert_john import invert_john
 from .invert_svd import (
     reconstruct,
@@ -304,8 +304,7 @@ def criterion_7(ws):
     F = ws.slices2()
     rec = ws.get("hs2", lambda: invert_hypersingular(F))
     rep = compare(ws.bump2(), rec, method="hs")
-    eps0 = 4.0 * FINE_HALFWIDTH / (FINE_COUNT - 1)
-    halved = invert_hypersingular(F, eps=eps0 / 2.0)
+    halved = invert_hypersingular(F, eps=DEFAULT_EPS / 2.0)
     eps_change = _rel_l2_change(rec, halved)
     cross = compare(ws.john2(), rec).rel_l2_after_scale
     passed = rep.rel_l2_after_scale <= 0.03 and eps_change <= 0.01 and cross <= 0.03

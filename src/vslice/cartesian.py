@@ -1,8 +1,8 @@
-"""Uniform Cartesian lattices for the hypersingular route's backprojection tables.
+"""Uniform Cartesian lattices on boxes [-hw, hw]^n.
 
-The hypersingular annulus sum evaluates the backprojection far off the chart
-nodes, out to the outer truncation radius, so it tabulates it on padded
-boxes [-hw, hw]^n and resamples those tables by cubic splines.
+No reconstruction route uses them: every route backprojects straight onto
+the chart nodes.  `cartesian_nodes` stays public for evaluating functions
+such as `dual_radon` on a lattice, for plots and checks.
 """
 
 import numpy as np

@@ -14,7 +14,7 @@ import numpy as np
 
 from .grid import BallFunction, SliceData, project
 from .specfun import method_constants
-from .xform import _filtered_backprojection
+from .xform import _filter_table, _table_backprojection
 
 
 def _plane_data(F):
@@ -28,7 +28,8 @@ def _plane_data(F):
 
 def _reconstruct(F, constant):
     """constant * (filtered backprojection of the plane data), on the sphere."""
-    smooth = constant * _filtered_backprojection(_plane_data(F))
+    G = _plane_data(F)
+    smooth = constant * _table_backprojection(G, *_filter_table(G.grid, G.boundary_exponent))
     return project(BallFunction(F.grid, smooth))
 
 

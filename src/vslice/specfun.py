@@ -234,9 +234,13 @@ def binom_alt_sum(ell, alpha):
     return total
 
 
-def _binom_alt_sum_dalpha(ell, alpha, step=1e-6):
-    """Central-difference derivative of B_ell with respect to alpha."""
-    return (binom_alt_sum(ell, alpha + step) - binom_alt_sum(ell, alpha - step)) / (2.0 * step)
+def _binom_alt_sum_dalpha(ell, alpha):
+    """dB_ell/dalpha = sum_{j=1}^{ell} (-1)^j C(ell, j) j^alpha ln j, exactly
+    (the j = 0 term is constant in alpha > 0)."""
+    total = 0.0
+    for j in range(1, ell + 1):
+        total += (-1) ** j * math.comb(ell, j) * float(j) ** alpha * math.log(j)
+    return total
 
 
 def finite_difference_normalizer(n, ell, alpha):

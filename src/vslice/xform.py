@@ -7,11 +7,13 @@ hyperplane Radon transform of the lifted ball function, which is what the
 production path computes; ``vslice_direct`` quadratures the slice integral
 from scratch in a different chart and serves as the independent oracle.
 
-Also here: the dual (backprojection) operator, and the filtered
-backprojection the `john` and `ac` inversions share, which filters each
-profile once in the offset variable (-d^2/dt^2, after a log convolution when
-n = 2) and backprojects it onto the chart nodes.  Both sum one direction per
-antipodal pair of folded profiles.  And spherical means.
+Also here: the dual (backprojection) operator, and the table
+backprojection every filtered route shares.  It filters each profile once in
+the offset variable with a cached matrix and backprojects the filtered
+profile onto the chart nodes: `john` and `ac` pass -d^2/dt^2 (after a log
+convolution when n = 2), `hs` its annulus multiplier.  Both backprojections
+sum one direction per antipodal pair of folded profiles.  And spherical
+means.
 """
 
 import math
@@ -407,10 +409,9 @@ def _fold(F):
 
 def _dual_rep(F):
     # C^2 cubic spline of each folded t-profile, endpoints pinned to zero at
-    # t = +-1 (slice data of integrable functions vanishes there).
-    # Twice-continuous interpolation matters downstream: the hypersingular
-    # route differences the backprojection at small offsets, which amplifies
-    # kinks in the interpolant.
+    # t = +-1 (slice data of integrable functions vanishes there).  It is the
+    # interpolant of `_node_spline` that the n = 2 filters act on, so
+    # dual_radon is their spatial reference.
     rep = getattr(F, "_dual_coeffs", None)
     if rep is None:
         ang, w, folded = _fold(F)
@@ -519,18 +520,24 @@ def _log_moment_matrix(t_nodes, s_points):
 # -- filtered backprojection ---------------------------------------------------
 
 
-def _log_filter_matrix(t, s):
-    """-d^2/ds^2 of (Lg)(s) = int log|s - u| g(u) du as a matrix on node values.
-
-    g is the natural cubic spline through the values at t, pinned to zero at
-    u = +-1 (the spline `dual_radon` uses).  Its g'' is piecewise linear on
-    the knots [-1, t, 1], so (Lg)'' = L(g'') + g'(-1) log|s+1| - g'(1) log|s-1|
-    is exact with the closed-form log moments.
-    """
+def _node_spline(t):
+    """(knots, spline): the natural cubic spline `dual_radon` uses, as a map of
+    the node values at t.  spline(s) has one column per node; the knots are
+    [-1, t, 1] and the spline is pinned to zero at the outer two."""
     x = np.concatenate(([-1.0], t, [1.0]))
     basis = np.zeros((x.size, t.size))
     basis[1:-1] = np.eye(t.size)
-    spline = CubicSpline(x, basis, bc_type="natural")
+    return x, CubicSpline(x, basis, bc_type="natural")
+
+
+def _log_filter_matrix(t, s):
+    """-d^2/ds^2 of (Lg)(s) = int log|s - u| g(u) du as a matrix on node values.
+
+    g is the natural cubic spline of `_node_spline`.  Its g'' is piecewise
+    linear on the knots [-1, t, 1], so (Lg)'' = L(g'') + g'(-1) log|s+1| -
+    g'(1) log|s-1| is exact with the closed-form log moments.
+    """
+    x, spline = _node_spline(t)
     d1 = spline(np.array([-1.0, 1.0]), 1)
     W = _log_moment_matrix(x, s)
     return (
@@ -558,43 +565,54 @@ def _plane_filter_matrix(t, s, a):
     return -(p2 * w0[:, None] + 2.0 * p1 * w1[:, None] + p0 * w2[:, None])
 
 
+def _table_offsets(grid):
+    """The uniform offset table, s_i = (i - TABLE_NODES // 2) * step, exactly
+    antisymmetric.  It spans the largest chart radius, which bounds theta . x'
+    at every chart node."""
+    span = float(grid.r.max())
+    s = np.linspace(-span, span, TABLE_NODES)
+    s = 0.5 * (s - s[::-1])
+    s.setflags(write=False)
+    return s
+
+
+def _symmetric(M):
+    """M made exact under t -> -t, s -> -s like the nodes, so that filtering the
+    reversed profile of a folded pair costs no rounding beyond the sums; read-only."""
+    M = 0.5 * (M + M[::-1, ::-1])
+    M.setflags(write=False)
+    return M
+
+
 @lru_cache(maxsize=16)
 def _filter_table(grid, exponent):
     """(s, M): the uniform offset table and the matrix taking node values of
     plane data with boundary exponent `exponent` to their filtered profile on it.
 
     The filter is -d^2/ds^2 for n = 3, where the exponent enters, and
-    -d^2/ds^2 of the log convolution for n = 2.  The table spans the largest
-    chart radius, which bounds theta . x' at every chart node.
+    -d^2/ds^2 of the log convolution for n = 2.
     """
-    span = float(grid.r.max())
-    s = np.linspace(-span, span, TABLE_NODES)
-    s = 0.5 * (s - s[::-1])
+    s = _table_offsets(grid)
     if grid.spec.n == 2:
         M = _log_filter_matrix(grid.t, s)
     else:
         M = _plane_filter_matrix(grid.t, s, exponent)
-    # exact under t -> -t, s -> -s like the nodes, so that filtering the
-    # reversed profile of a folded pair costs no rounding beyond the sums
-    M = 0.5 * (M + M[::-1, ::-1])
-    s.setflags(write=False)
-    M.setflags(write=False)
-    return s, M
+    return s, _symmetric(M)
 
 
-def _filtered_backprojection(G):
+def _table_backprojection(G, s, M):
     """(1/sigma_{n-1}) int (KG)(theta, theta . x') dtheta at the chart nodes,
-    with K the filter of `_filter_table`, shape (n_ang_total, n_radial).
+    shape (n_ang_total, n_radial), where M takes the node values of a profile
+    to its filtered profile KG on the uniform offsets s.
 
-    Backprojection commutes with the Laplacian, -Delta R*g = R*(-g''), so the
-    filter acts once per folded profile.  The filtered profiles are
-    tabulated on a uniform offset grid and linearly interpolated there.
+    The filter acts once per folded profile, and the filtered profiles are
+    linearly interpolated on the table.  `john` and `ac` pass the matrix of
+    `_filter_table`: backprojection commutes with the Laplacian,
+    -Delta R*g = R*(-g'').  `hs` passes its annulus multiplier.
     """
-    grid = G.grid
-    s, M = _filter_table(grid, G.boundary_exponent)
     ang, w, folded = _fold(G)
     table = folded @ M.T
-    pts = grid.ball_points
+    pts = G.grid.ball_points
     out = np.zeros(pts.shape[:-1])
     for k in range(len(w)):
         out += w[k] * np.interp(pts @ ang[k], s, table[k])

@@ -1,14 +1,21 @@
 """The public surface of the package, pinned so that adding or removing an
 entry point is a visible change to this list."""
 
+import ast
+import glob
 import importlib
+import importlib.util
 import os
 import sys
 import types
 
+import pytest
+
 import vslice
 
-BENCHMARKS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "benchmarks")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BENCHMARKS = os.path.join(ROOT, "benchmarks")
+DEMOS = sorted(glob.glob(os.path.join(ROOT, "demos", "*.py")))
 
 PUBLIC = [
     "BallFunction", "CriterionResult", "Grid", "GridSpec", "MethodConstants", "Phantom",
@@ -61,3 +68,31 @@ def test_benchmark_trace_layers_exist():
     for name in layers.MODULES:
         importlib.import_module("vslice." + name)
     assert callable(importlib.import_module("vslice.invert_hs").map_coordinates)
+
+
+def _demo_imports(path):
+    """Names a demo imports from vslice, and the vslice modules it imports from."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    names, modules = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "vslice":
+            modules.add(node.module)
+            names.update(alias.name for alias in node.names)
+    return names, modules
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=os.path.basename)
+def test_demo_names_are_public(path):
+    names, modules = _demo_imports(path)
+    assert modules == {"vslice"}
+    assert names <= set(PUBLIC)
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=os.path.basename)
+def test_demo_runs(path, capsys):
+    spec = importlib.util.spec_from_file_location("demo_" + os.path.basename(path)[:-3], path)
+    demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demo)
+    demo.main()
+    assert capsys.readouterr().out.strip()

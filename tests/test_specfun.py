@@ -6,6 +6,7 @@ from scipy.special import eval_gegenbauer, eval_jacobi
 
 from vslice.specfun import (
     SvdIndex,
+    _binom_alt_sum_dalpha,
     binom_alt_sum,
     finite_difference_normalizer,
     gegenbauer_poly,
@@ -216,6 +217,15 @@ def test_binom_alt_sum():
     assert binom_alt_sum(1, 1.0) == -1.0
     assert binom_alt_sum(2, 1.0) == 0.0  # 0 - 2 + 2
     assert abs(binom_alt_sum(2, 3.0) - (-2 + 8)) < 1e-12
+
+
+def test_binom_alt_sum_dalpha_exact():
+    # d/dalpha sum (-1)^j C(3,j) j^alpha at alpha = 2: 3 * 4 ln 2 - 9 ln 3
+    want = 12.0 * math.log(2.0) - 9.0 * math.log(3.0)
+    assert abs(_binom_alt_sum_dalpha(3, 2.0) - want) <= 1e-15 * abs(want)
+    # d_{3,3}(2) = pi^(3/2) / (4 Gamma(5/2)) * 2 * dB_3(2) = 2 pi ln(16/27)
+    want = 2.0 * math.pi * math.log(16.0 / 27.0)
+    assert abs(method_constants(3).d_n_ell - want) <= 1e-14 * abs(want)
 
 
 def test_finite_difference_normalizer_n2():
