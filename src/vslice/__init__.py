@@ -2,10 +2,12 @@
 
 Computes integrals of functions on the unit sphere S^n (n = 2, 3) over the
 circles cut by planes parallel to a fixed axis, and reconstructs the even part
-of the function from that slice data by four independent routes: reduction to
-a Radon transform on the ball followed by backprojection and a Laplacian,
-a hypersingular finite-difference inversion, a singular value decomposition,
-and analytic continuation of spherical means.
+of the function from that slice data by four routes: reduction to a Radon
+transform on the ball followed by backprojection and a Laplacian, a
+hypersingular finite-difference inversion, a singular value decomposition,
+and analytic continuation of spherical means.  The continued formulas reduce
+to the first route's filtered backprojection with their own constants, so
+only the first three are independent of one another.
 """
 
 from .acceptance import CriterionResult, Workspace, run_acceptance
@@ -80,7 +82,6 @@ from .xform import (
     dual_radon,
     is_even_slice_data,
     log_kernel_identity,
-    radon_ball,
     spherical_mean,
     vslice_direct,
     vslice_forward,

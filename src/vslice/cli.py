@@ -39,9 +39,11 @@ class _UsageError(Exception):
 
 def _seq(value, conv):
     """Tuple of conv() items from a comma string or a JSON-config list."""
-    if isinstance(value, (list, tuple)):
-        return tuple(conv(v) for v in value)
-    return tuple(conv(v) for v in str(value).split(","))
+    items = value if isinstance(value, (list, tuple)) else str(value).split(",")
+    try:
+        return tuple(conv(v) for v in items)
+    except (TypeError, ValueError):
+        raise _UsageError("expected comma-separated numbers, got %r" % (value,)) from None
 
 
 def _require(args, *names):
@@ -149,10 +151,10 @@ def _parse_grid(text, n):
 
     if text in (None, "default"):
         return default_spec(n)
-    parts = str(text).lower().split("x")
-    if len(parts) != 3:
-        raise _UsageError("--grid expects 'default' or AxRxT, e.g. 256x96x128")
-    a, r, t = (int(v) for v in parts)
+    try:
+        a, r, t = (int(v) for v in str(text).lower().split("x"))
+    except ValueError:
+        raise _UsageError("--grid expects 'default' or AxRxT, e.g. 256x96x128") from None
     return GridSpec(n, a, r, t)
 
 

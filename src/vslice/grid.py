@@ -261,11 +261,6 @@ class Grid:
             self._antipodal = p
         return p
 
-    @property
-    def t_reflect_index(self):
-        """Permutation q with t[q] = -t (exact by construction)."""
-        return np.arange(self.spec.n_t)[::-1]
-
     def __eq__(self, other):
         return isinstance(other, Grid) and self.spec == other.spec
 

@@ -264,6 +264,8 @@ def read_vsl(path):
     version, kind = struct.unpack_from("<II", raw, 8)
     if version != _VERSION:
         raise ValueError(f"unsupported vsl version {version}")
+    if kind not in (_KIND_SLICE, _KIND_SPHERE):
+        raise ValueError(f"unknown vsl kind code {kind}")
     n, lam, n_ang_total, n_t = struct.unpack_from("<IdII", raw, 16)
     off = 16 + struct.calcsize("<IdII")
     n_angular, n_radial, rrule, trule, exponent = struct.unpack_from("<IIIId", raw, off)

@@ -4,16 +4,21 @@ The forward map sends an even function on the sphere to its integrals over
 the vertical half slices indexed by an equatorial direction theta and an
 offset t.  In the upper-hemisphere chart that integral factors through the
 hyperplane Radon transform of the lifted ball function, which is what the
-production path computes; ``vslice_direct`` quadratures the slice integral
-from scratch in a different chart and serves as the independent oracle.
+production path computes.  A function with an evaluator goes through one
+slice quadrature (`_slice_quadrature` on the nodes of `_ball_rule`), which
+also serves spherical means; the forward runs it over one direction per
+antipodal pair and fills the partner by evenness.  Sampled functions take
+spectral paths: angular Fourier modes (n = 2) or spherical harmonics (n = 3)
+of the samples, interpolated radially.  ``vslice_direct`` quadratures the
+slice integral from scratch in a different chart and serves as the
+independent oracle.
 
 Also here: the dual (backprojection) operator, and the table
 backprojection every filtered route shares.  It filters each profile once in
 the offset variable with a cached matrix and backprojects the filtered
 profile onto the chart nodes: `john` and `ac` pass -d^2/dt^2 (after a log
 convolution when n = 2), `hs` its annulus multiplier.  Both backprojections
-sum one direction per antipodal pair of folded profiles.  And spherical
-means.
+sum one direction per antipodal pair of folded profiles.
 """
 
 import math
@@ -24,7 +29,7 @@ from numpy.polynomial.chebyshev import chebder, chebvander
 from scipy.interpolate import CubicSpline
 from scipy.special import roots_jacobi, roots_legendre
 
-from .grid import SliceData, SphereFunction, _BallChart, lift
+from .grid import SliceData, SphereFunction
 from .specfun import harmonic_dim, sph_harm, sphere_area
 
 # Quadrature sizes for the slice integrals.  The chord rule is
@@ -79,7 +84,7 @@ def _barycentric_matrix(nodes, query):
     return np.where(exact[:, None], hit.astype(float), c / denom[:, None])
 
 
-# -- off-node evaluation of sampled smooth parts ------------------------------
+# -- spectral representations of sampled smooth parts ------------------------
 
 
 def _fourier_rep(f):
@@ -103,25 +108,6 @@ def _modes_at_radii(f, rho):
     out = scaled @ B.T
     out[1::2] *= rho[None, :]
     return out
-
-
-def _eval_smooth_2(f, pts):
-    """Smooth-part values of an n=2 sampled function at arbitrary chart points."""
-    pts = np.asarray(pts, dtype=float)
-    shape = pts.shape[:-1]
-    flat = pts.reshape(-1, 2)
-    rho = np.hypot(flat[:, 0], flat[:, 1])
-    gamma = np.arctan2(flat[:, 1], flat[:, 0])
-    gm = _modes_at_radii(f, rho)
-    A = f.grid.n_ang_total
-    m = np.arange(gm.shape[0])
-    phase = np.exp(1j * m[:, None] * gamma[None, :])
-    scale = np.full(gm.shape[0], 2.0)
-    scale[0] = 1.0
-    if A % 2 == 0:
-        scale[-1] = 1.0
-    vals = (scale[:, None] * (gm * phase).real).sum(axis=0) / A
-    return vals.reshape(shape)
 
 
 @lru_cache(maxsize=8)
@@ -150,36 +136,6 @@ def _sh_rep(f):
     return rep
 
 
-def _eval_smooth_3(f, pts):
-    """Smooth-part values of an n=3 sampled function at arbitrary chart points."""
-    coef, degs = _sh_rep(f)
-    grid = f.grid
-    pts = np.asarray(pts, dtype=float)
-    shape = pts.shape[:-1]
-    flat = pts.reshape(-1, 3)
-    rho = np.linalg.norm(flat, axis=1)
-    safe = np.where(rho > 0.0, rho, 1.0)
-    dirs = flat / safe[:, None]
-    dirs[rho == 0.0] = (0.0, 0.0, 1.0)
-    G = coef @ _barycentric_matrix(grid.u, rho * rho).T
-    G[degs % 2 == 1] *= rho[None, :]
-    out = np.zeros(flat.shape[0])
-    i = 0
-    for l in range(grid.n_polar):
-        for mu in range(1, harmonic_dim(3, l) + 1):
-            out += G[i] * sph_harm(3, l, mu, dirs)
-            i += 1
-    return out.reshape(shape)
-
-
-def _smooth_values(f, pts):
-    if f.evaluator is not None:
-        return np.asarray(f.evaluator(pts), dtype=float)
-    if f.spec.n == 2:
-        return _eval_smooth_2(f, pts)
-    return _eval_smooth_3(f, pts)
-
-
 def _frames(theta):
     """Orthonormal pairs spanning the plane orthogonal to each direction."""
     theta = np.atleast_2d(theta)
@@ -201,64 +157,74 @@ def _frames(theta):
 # -- forward transform --------------------------------------------------------
 
 
+def _ball_rule(n, e):
+    """Nodes Y (count, n-1) in the unit (n-1)-ball and weights W for the weight
+    (1 - |y|^2)^(e - 1/2).
+
+    n = 2: Gauss-Jacobi chord nodes.  n = 3: radial Gauss-Jacobi nodes in
+    u = 2 rho^2 - 1 crossed with an even azimuth count, whose trapezoid rule
+    kills every odd power of rho exactly, which is what keeps low-degree
+    polynomials exact.  The azimuthal direction converges much faster than
+    the radial one for smooth integrands, so 2K/3 azimuths for K radial
+    nodes suffice.
+    """
+    if n == 2:
+        tau, w = _jacobi_rule(CHORD_NODES_N2, e - 0.5, e - 0.5)
+        return tau[:, None], w
+    K = DISK_NODES_N3
+    xg, wg = _jacobi_rule(K, e - 0.5, 0.0)
+    rho = np.sqrt((xg + 1.0) / 2.0)
+    kchi = max(2 * ((K + 2) // 3), 16)
+    chi = 2.0 * np.pi * np.arange(kchi) / kchi
+    Y = rho[:, None, None] * np.stack([np.cos(chi), np.sin(chi)], axis=-1)
+    W = np.repeat(wg * 2.0 ** (-(e + 0.5)) * (math.pi / kchi), kchi)
+    return Y.reshape(-1, 2), W
+
+
+def _slice_quadrature(f, theta, t):
+    """Smooth part of V_+ f at the directions theta (m, n) and offsets t,
+    shape (m, t.size), from f's evaluator.
+
+    The chord (n = 2) or disk (n = 3) of the unit ball in the plane
+    x' . theta = t has the points t theta + sqrt(1 - t^2) Y E(theta), with
+    the rows of E(theta) spanning theta^perp.  There the lifted function's
+    boundary factor is (1 - t^2)^(e - 1/2) (1 - |Y|^2)^(e - 1/2): the second
+    is the weight of `_ball_rule`, the powers of 1 - t^2 are the stored
+    boundary exponent e + (n-1)/2.  One evaluator call per offset.
+    """
+    n = f.spec.n
+    Y, W = _ball_rule(n, f.boundary_exponent)
+    if n == 2:
+        E = np.stack([-theta[:, 1], theta[:, 0]], axis=-1)[:, None, :]
+    else:
+        E = np.stack(_frames(theta), axis=1)
+    offsets = Y @ E
+    pts = np.empty_like(offsets)
+    out = np.empty((theta.shape[0], t.size))
+    for j, tj in enumerate(t):
+        np.multiply(offsets, math.sqrt(1.0 - tj * tj), out=pts)
+        pts += tj * theta[:, None, :]
+        out[:, j] = np.asarray(f.evaluator(pts), dtype=float) @ W
+    return out
+
+
 def _forward_2(f, Q):
+    # angular Fourier modes of the samples, interpolated radially along each chord
     grid = f.grid
     e = f.boundary_exponent
     tau, wq = _jacobi_rule(Q, e - 0.5, e - 0.5)
     t = grid.t
     r = np.sqrt(1.0 - t * t)
-    if f.evaluator is not None:
-        th = grid.ang
-        perp = np.stack([-th[:, 1], th[:, 0]], axis=-1)
-        pts = (
-            t[None, :, None, None] * th[:, None, None, :]
-            + (r[None, :, None] * tau[None, None, :])[..., None] * perp[:, None, None, :]
-        )
-        out = np.asarray(f.evaluator(pts), dtype=float) @ wq
-    else:
-        A = grid.n_ang_total
-        m = np.arange(A // 2 + 1)
-        out = np.empty((A, t.size))
-        for j, tj in enumerate(t):
-            rho = np.sqrt(tj * tj + (1.0 - tj * tj) * tau * tau)
-            gm = _modes_at_radii(f, rho)
-            delta = np.arctan2(r[j] * tau, tj)
-            vals = np.fft.irfft(gm * np.exp(1j * m[:, None] * delta[None, :]), n=A, axis=0)
-            out[:, j] = vals @ wq
+    A = grid.n_ang_total
+    m = np.arange(A // 2 + 1)
+    out = np.empty((A, t.size))
+    for j, tj in enumerate(t):
+        rho = np.sqrt(tj * tj + (1.0 - tj * tj) * tau * tau)
+        gm = _modes_at_radii(f, rho)
+        delta = np.arctan2(r[j] * tau, tj)
+        vals = np.fft.irfft(gm * np.exp(1j * m[:, None] * delta[None, :]), n=A, axis=0)
+        out[:, j] = vals @ wq
     return SliceData(grid, out, e + 0.5)
-
-
-def _forward_eval_3(f, K):
-    grid = f.grid
-    e = f.boundary_exponent
-    xg, wg = _jacobi_rule(K, e - 0.5, 0.0)
-    rho = np.sqrt((xg + 1.0) / 2.0)
-    wq = wg * 2.0 ** (-(e + 0.5))
-    # An even azimuth count makes the trapezoid rule kill every odd power of
-    # rho exactly, which is what keeps low-degree polynomials exact.  The
-    # azimuthal direction converges much faster than the radial one for
-    # smooth integrands, so 2K/3 nodes suffice and save a third of the cost.
-    kchi = max(2 * ((K + 2) // 3), 16)
-    chi = 2.0 * np.pi * np.arange(kchi) / kchi
-    # f is even, so F(-theta, -t) = F(theta, t): one direction per antipodal
-    # pair is integrated and its partner gets the profile reversed in t
-    sel = np.arange(grid.n_ang_total) < grid.antipodal_index
-    th = grid.ang[sel]
-    e1, e2 = _frames(th)
-    omega = (
-        np.cos(chi)[None, :, None] * e1[:, None, :]
-        + np.sin(chi)[None, :, None] * e2[:, None, :]
-    )
-    half = np.empty((th.shape[0], grid.spec.n_t))
-    for j, tj in enumerate(grid.t):
-        r = math.sqrt(1.0 - tj * tj)
-        pts = tj * th[:, None, None, :] + r * rho[None, :, None, None] * omega[:, None, :, :]
-        vals = np.asarray(f.evaluator(pts), dtype=float)
-        half[:, j] = (math.pi / kchi) * np.einsum("q,aqk->a", wq, vals)
-    out = np.empty((grid.n_ang_total, grid.spec.n_t))
-    out[sel] = half
-    out[grid.antipodal_index[sel]] = half[:, ::-1]
-    return SliceData(grid, out, e + 1.0)
 
 
 def _legendre_table(lmax, x):
@@ -298,51 +264,27 @@ def vslice_forward(f):
     """Half slice transform of an even sphere function, sampled on the grid.
 
     Computes F(theta_i, t_j) = sqrt(1 - t_j^2) * Radon(lift f)(theta_i, t_j).
-    Uses the phantom's evaluator for off-node values when available and falls
-    back to spectral interpolation of the samples (angular Fourier modes for
-    n = 2, spherical harmonics for n = 3) otherwise.  The stored boundary
-    exponent rises by (n-1)/2, which is exact.
+    With an evaluator, the slice quadrature of `_slice_quadrature` runs over
+    one direction per antipodal pair, and the partner gets the profile
+    reversed in t: f is even, so F(-theta, -t) = F(theta, t) exactly.
+    Sampled functions take the spectral paths (angular Fourier modes for
+    n = 2, spherical harmonics for n = 3).  The stored boundary exponent
+    rises by (n-1)/2, which is exact.
     """
     if not isinstance(f, SphereFunction):
         raise TypeError("vslice_forward expects a SphereFunction")
-    if f.spec.n == 2:
-        return _forward_2(f, CHORD_NODES_N2)
-    if f.evaluator is not None:
-        return _forward_eval_3(f, DISK_NODES_N3)
-    return _forward_sh_3(f, DISK_NODES_N3)
-
-
-def radon_ball(phi, theta, t):
-    """Hyperplane Radon transform of a ball function at one (theta, t).
-
-    Integrates phi over the chord (n=2) or disk (n=3) section of the ball by
-    {x' . theta = t}; returns 0 for |t| >= 1 since phi extends by zero.
-    """
-    if not isinstance(phi, _BallChart):
-        raise TypeError("radon_ball expects a BallFunction")
-    t = float(t)
-    if abs(t) >= 1.0:
-        return 0.0
-    theta = np.asarray(theta, dtype=float)
-    theta = theta / np.linalg.norm(theta)
-    n = phi.spec.n
-    e = phi.boundary_exponent
-    r = math.sqrt(1.0 - t * t)
-    if n == 2:
-        tau, wq = _jacobi_rule(CHORD_NODES_N2, e, e)
-        perp = np.array([-theta[1], theta[0]])
-        pts = t * theta[None, :] + (r * tau)[:, None] * perp[None, :]
-        return r ** (1.0 + 2.0 * e) * float(_smooth_values(phi, pts) @ wq)
-    xg, wg = _jacobi_rule(DISK_NODES_N3, e, 0.0)
-    rho = np.sqrt((xg + 1.0) / 2.0)
-    wq = wg * 2.0 ** (-(e + 1.0))
-    kchi = max(2 * DISK_NODES_N3, 16)
-    chi = 2.0 * np.pi * np.arange(kchi) / kchi
-    e1, e2 = _frames(theta)
-    omega = np.cos(chi)[:, None] * e1 + np.sin(chi)[:, None] * e2
-    pts = t * theta[None, None, :] + r * rho[:, None, None] * omega[None, :, :]
-    vals = _smooth_values(phi, pts)
-    return r ** (2.0 + 2.0 * e) * (math.pi / kchi) * float(wq @ vals.sum(axis=1))
+    n = f.spec.n
+    if f.evaluator is None:
+        if n == 2:
+            return _forward_2(f, CHORD_NODES_N2)
+        return _forward_sh_3(f, DISK_NODES_N3)
+    grid = f.grid
+    sel = np.arange(grid.n_ang_total) < grid.antipodal_index
+    half = _slice_quadrature(f, grid.ang[sel], grid.t)
+    out = np.empty((grid.n_ang_total, grid.spec.n_t))
+    out[sel] = half
+    out[grid.antipodal_index[sel]] = half[:, ::-1]
+    return SliceData(grid, out, f.boundary_exponent + 0.5 * (n - 1))
 
 
 def vslice_direct(f, theta, t, chord_nodes=None):
@@ -625,16 +567,21 @@ def _table_backprojection(G, s, M):
 def spherical_mean(f, theta, t):
     """Mean of f over the full vertical slice at (theta, t).
 
-    Equals (Vf)(theta, t) (1-t^2)^((1-n)/2) / sigma_{n-1} with V = 2 V_+.
+    Equals (Vf)(theta, t) (1-t^2)^((1-n)/2) / sigma_{n-1} with V = 2 V_+,
+    from the slice quadrature of the forward map at this one (theta, t).
+    Requires a phantom with an evaluator.
     """
     if not isinstance(f, SphereFunction):
         raise TypeError("spherical_mean expects a SphereFunction")
+    if f.evaluator is None:
+        raise ValueError("spherical_mean needs a phantom with an evaluator")
     t = float(t)
     if abs(t) >= 1.0:
         raise ValueError("need |t| < 1")
-    n = f.spec.n
-    v_plus = math.sqrt(1.0 - t * t) * radon_ball(lift(f), theta, t)
-    return 2.0 * v_plus * (1.0 - t * t) ** ((1.0 - n) / 2.0) / sphere_area(n)
+    theta = np.asarray(theta, dtype=float)
+    theta = theta / np.linalg.norm(theta)
+    smooth = _slice_quadrature(f, theta[None, :], np.array([t]))[0, 0]
+    return 2.0 * smooth * (1.0 - t * t) ** f.boundary_exponent / sphere_area(f.spec.n)
 
 
 def log_kernel_identity(num_nodes=1 << 20):

@@ -8,11 +8,9 @@ with the same cached forwards and reconstructions the CLI selftest uses.
 
 import math
 
-import numpy as np
 import pytest
 
 from vslice import acceptance
-from vslice.grid import GridSpec, SphereFunction, make_grid
 from vslice.specfun import method_constants
 
 
@@ -110,13 +108,3 @@ def test_workspace_times_are_exclusive(monkeypatch):
     assert (ws.seconds("leaf"), ws.seconds("mid"), ws.seconds("top")) == (2.0, 4.0, 0.75)
     assert ws.get(*mid) == "mid" and ws.seconds("mid") == 4.0
 
-
-def test_masked_cross_error_of_scaled_copy_is_zero():
-    # two fields equal up to scale must read zero to rounding, not the square
-    # root of a cancelled difference
-    g = make_grid(GridSpec(2, 64, 24, 32))
-    rng = np.random.default_rng(3)
-    ref = SphereFunction(g, rng.normal(size=(g.n_ang_total, g.spec.n_radial)), 0.5)
-    for scale in (1.0, -0.5641895835477563, 3.7):
-        rec = SphereFunction(g, ref.smooth / scale, 0.5)
-        assert acceptance._masked_cross_error(rec, ref) <= 1e-12

@@ -31,6 +31,15 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert cli(["forward", "--phantom", "bump", "--n", "2", "--out", "s.vsl"]) == 2  # no center
     assert cli(["svd-table", "--band", "4"]) == 2  # no n
     assert cli(["selftest", "--criteria", "0,13"]) == 2
+    # non-numeric list items and grid counts are usage errors too
+    out = str(tmp_path / "s.vsl")
+    assert cli(["selftest", "--criteria", "1,x"]) == 2
+    assert cli(["forward", "--phantom", "even_constant", "--n", "2", "--grid", "12xfoox8",
+                "--out", out]) == 2
+    assert cli(["forward", "--phantom", "basis", "--n", "2", "--nu", "1,a,0", "--out", out]) == 2
+    assert cli(["forward", "--phantom", "bump", "--n", "2", "--center", "0.1,b,0.9",
+                "--out", out]) == 2
+    assert not (tmp_path / "s.vsl").exists()
     # the backprojection table is sized from the grid; there is no resolution knob
     assert cli(["invert", "--method", "john", "--in", "x.vsl", "--resolution", "96"]) == 2
     cfg = tmp_path / "res.json"

@@ -202,6 +202,12 @@ def test_vsl_rejects_garbage(tmp_path):
     bad.write_bytes(bytes(raw))
     with pytest.raises(ValueError, match="version"):
         read_vsl(bad)
+    raw = bytearray(good.read_bytes())
+    raw[12] = 7  # kind: only 0 (slice data) and 1 (sphere function) exist
+    bad_kind = tmp_path / "badkind.vsl"
+    bad_kind.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="kind"):
+        read_vsl(bad_kind)
     long = tmp_path / "long.vsl"
     long.write_bytes(good.read_bytes() + b"\0")
     with pytest.raises(ValueError, match="trailing"):

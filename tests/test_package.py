@@ -28,7 +28,7 @@ PUBLIC = [
     "invert_john", "invert_odd", "is_even_slice_data", "jacobi_poly", "lift",
     "log_gamma", "log_kernel_identity", "make_grid", "make_phantom",
     "method_constants", "norm_ball", "norm_slices", "norm_sphere", "project",
-    "radon_ball", "radon_norm", "read_json", "read_vsl", "reconstruct", "run_acceptance",
+    "radon_norm", "read_json", "read_vsl", "reconstruct", "run_acceptance",
     "slice_basis_grid", "slice_singular_function", "sph_harm", "sphere_area",
     "sphere_basis_grid", "sphere_coefficients", "sphere_singular_function", "spherical_mean",
     "svd_constants", "svd_index_set", "svd_table", "synthesize_forward", "synthesize_sphere",

@@ -20,13 +20,11 @@ from vslice import (
     log_kernel_identity,
     make_grid,
     norm_slices,
-    radon_ball,
     spherical_mean,
     svd_constants,
     vslice_direct,
     vslice_forward,
 )
-from vslice.grid import BallFunction, norm_ball
 from vslice.specfun import sphere_area
 from vslice.xform import _log_filter_matrix, _log_moment_matrix, _plane_filter_matrix
 
@@ -123,48 +121,6 @@ def test_direct_constant_n3(g3):
         )
 
 
-# -- radon_ball ----------------------------------------------------------------
-
-
-def test_radon_constant_chord(g2):
-    phi = BallFunction(g2, np.ones((g2.n_ang_total, 96)))
-    for t in (-0.9, 0.0, 0.5):
-        assert radon_ball(phi, (1.0, 0.0), t) == pytest.approx(
-            2 * math.sqrt(1 - t * t), abs=1e-14
-        )
-
-
-def test_radon_lifted_constant_is_pi(g2):
-    one = SphereFunction(g2, np.ones((g2.n_ang_total, 96)))
-    phi = lift(one)
-    for t in (-0.7, 0.1, 0.8):
-        assert radon_ball(phi, (0.6, 0.8), t) == pytest.approx(math.pi, abs=1e-13)
-
-
-def test_radon_outside_support(g2):
-    phi = BallFunction(g2, np.ones((g2.n_ang_total, 96)))
-    assert radon_ball(phi, (1.0, 0.0), 1.5) == 0.0
-    assert radon_ball(phi, (1.0, 0.0), -1.0) == 0.0
-
-
-def test_radon_disk_area_n3(g3):
-    phi = BallFunction(g3, np.ones((g3.n_ang_total, 32)))
-    for t in (-0.4, 0.0, 0.6):
-        assert radon_ball(phi, (0.0, 1.0, 0.0), t) == pytest.approx(
-            math.pi * (1 - t * t), rel=1e-13
-        )
-
-
-def test_radon_matches_forward_pointwise(g2, bump2):
-    F = vslice_forward(bump2)
-    phi = lift(bump2)
-    vals = F.values
-    for a, j in ((0, 10), (40, 64), (171, 100)):
-        t = g2.t[j]
-        want = math.sqrt(1 - t * t) * radon_ball(phi, g2.ang[a], t)
-        assert vals[a, j] == pytest.approx(want, abs=1e-12)
-
-
 # -- vslice_forward ------------------------------------------------------------
 
 
@@ -176,6 +132,15 @@ def test_forward_constant_closed_form(g2):
     want = math.pi * np.sqrt(1 - g2.t**2)
     assert np.max(np.abs(F.values - want[None, :])) < 1e-12
     assert F.boundary_exponent == 0.5
+
+
+def test_forward_constant_closed_form_n3(g3):
+    # the half slice of S^3 is a half 2-sphere of radius sqrt(1-t^2)
+    one = SphereFunction.from_function(g3, lambda p: np.ones(np.asarray(p).shape[:-1]))
+    F = vslice_forward(one)
+    want = 2.0 * math.pi * (1 - g3.t**2)
+    assert np.max(np.abs(F.values - want[None, :])) < 1e-14 * 2.0 * math.pi
+    assert F.boundary_exponent == 1.0
 
 
 def test_forward_zero_and_type(g2):
@@ -241,11 +206,11 @@ def test_forward_sampled_matches_evaluator_n3(g3):
 
 
 def test_forward_evenness(g2, g3, bump2, bump3):
+    # one direction per antipodal pair is integrated and its partner gets the
+    # reversed profile, so F(-theta, -t) = F(theta, t) holds bitwise
     for f in (bump2, bump3):
         F = vslice_forward(f)
-        g = f.grid
-        flipped = F.values[g.antipodal_index][:, g.t_reflect_index]
-        assert np.max(np.abs(flipped - F.values)) < 1e-10 * max(1.0, np.max(np.abs(F.values)))
+        assert np.array_equal(F.values[f.grid.antipodal_index][:, ::-1], F.values)
 
 
 def test_forward_linearity(g2, bump2):
@@ -347,12 +312,33 @@ def test_log_convolve_against_adaptive_quad(g2):
 
 def test_spherical_mean_constant(g2, g3):
     for g in (g2, g3):
-        one = SphereFunction(g, np.ones((g.n_ang_total, g.spec.n_radial)))
+        one = SphereFunction.from_function(g, lambda p: np.ones(np.asarray(p).shape[:-1]))
         theta = g.ang[3]
         for t in (-0.6, 0.0, 0.45):
             assert spherical_mean(one, theta, t) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
         spherical_mean(one, theta, 1.0)
+
+
+def test_spherical_mean_matches_forward(bump2, bump3):
+    # Vf (1-t^2)^((1-n)/2) / sigma_{n-1} with V = 2 V_+ from the forward map
+    # nodes inside the bump's support, on both sides of the antipodal fill
+    cases = ((bump2, ((28, 79), (76, 81), (204, 69))), (bump3, ((244, 12), (102, 20), (409, 12))))
+    for f, nodes in cases:
+        g = f.grid
+        n = g.spec.n
+        F = vslice_forward(f)
+        for a, j in nodes:
+            t = g.t[j]
+            want = 2.0 * F.values[a, j] / (sphere_area(n) * (1 - t * t) ** ((n - 1) / 2))
+            assert spherical_mean(f, g.ang[a], t) == pytest.approx(want, rel=1e-14, abs=1e-14)
+
+
+def test_spherical_mean_requires_evaluator(g2, bump2):
+    with pytest.raises(ValueError, match="evaluator"):
+        spherical_mean(SphereFunction(g2, bump2.smooth), (1.0, 0.0), 0.2)
+    with pytest.raises(TypeError):
+        spherical_mean(lift(bump2), (1.0, 0.0), 0.2)
 
 
 # -- antipodal fold --------------------------------------------------------------
