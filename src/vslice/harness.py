@@ -78,19 +78,37 @@ class Phantom:
 
 
 def _smooth_step(tau):
-    """C-infinity ramp: 0 for tau <= 0, 1 for tau >= 1."""
+    """C-infinity ramp: 0 for tau <= 0, 1 for tau >= 1.
+
+    The exponentials are taken only on the ramp 0 < tau < 1; off it, the
+    quotient lo / (lo + hi) is exactly 0 or 1.
+    """
     tau = np.asarray(tau, dtype=float)
-    lo = np.where(tau > 0.0, np.exp(-1.0 / np.where(tau > 0.0, tau, 1.0)), 0.0)
-    hi = np.where(tau < 1.0, np.exp(-1.0 / np.where(tau < 1.0, 1.0 - tau, 1.0)), 0.0)
-    return lo / (lo + hi)
+    out = np.where(tau >= 1.0, 1.0, 0.0)
+    ramp = (tau > 0.0) & (tau < 1.0)
+    x = tau[ramp]
+    lo = np.exp(-1.0 / x)
+    hi = np.exp(-1.0 / (1.0 - x))
+    out[ramp] = lo / (lo + hi)
+    return out
 
 
 def _cap_profile(cosine, width):
-    """C-infinity bump in geodesic distance: support is a cap of radius width."""
-    d = np.arccos(np.clip(cosine, -1.0, 1.0)) / width
+    """C-infinity bump in geodesic distance: support is a cap of radius width.
+
+    The arccos/exp are taken only where cosine > cos(width), which holds on
+    the support (and makes the lower clip at -1 moot).  A point that passes
+    that test by rounding still gets the d < 1 test; every d in (0.9993, 1)
+    gives exp(...) = 0 exactly anyway.
+    """
+    cosine = np.asarray(cosine, dtype=float)
+    out = np.zeros(cosine.shape)
+    near = cosine > math.cos(width)
+    d = np.arccos(np.minimum(cosine[near], 1.0)) / width
     inside = d < 1.0
     dsq = np.where(inside, d * d, 0.0)
-    return np.where(inside, np.exp(1.0 - 1.0 / (1.0 - dsq)), 0.0)
+    out[near] = np.where(inside, np.exp(1.0 - 1.0 / (1.0 - dsq)), 0.0)
+    return out
 
 
 def _bump_evaluator(center, width, margin, n):
@@ -100,8 +118,8 @@ def _bump_evaluator(center, width, margin, n):
 
     def ev(pts):
         pts = np.asarray(pts, dtype=float)
-        u = np.sum(pts * pts, axis=-1)
-        xl = np.sqrt(np.clip(1.0 - u, 0.0, None))
+        u = sum(pts[..., k] * pts[..., k] for k in range(n))
+        xl = np.sqrt(np.maximum(1.0 - u, 0.0))
         base = pts @ cp
         vals = _cap_profile(base + xl * cl, width) + _cap_profile(base - xl * cl, width)
         if margin > 0.0:

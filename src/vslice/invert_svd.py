@@ -104,7 +104,7 @@ def sphere_basis_grid(nu, lam, grid):
 
     def ev(pts, _nu=nu, _lam=lam, _n=n, _c=c):
         pts = np.asarray(pts, dtype=float)
-        u = np.sum(pts * pts, axis=-1)
+        u = sum(pts[..., k] * pts[..., k] for k in range(_n))
         return _eta_smooth_at(_nu, _lam, _n, pts, u, _c)
 
     return SphereFunction(grid, smooth, lam - n / 2.0 + 0.5, evaluator=ev)

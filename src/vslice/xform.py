@@ -7,7 +7,9 @@ hyperplane Radon transform of the lifted ball function, which is what the
 production path computes.  A function with an evaluator goes through one
 slice quadrature (`_slice_quadrature` on the nodes of `_ball_rule`), which
 also serves spherical means; the forward runs it over one direction per
-antipodal pair and fills the partner by evenness.  Sampled functions take
+antipodal pair and fills the partner by evenness.  It calls the evaluator
+once per offset and chunk of directions, so each call sees a bounded number
+of points however many directions the grid has.  Sampled functions take
 spectral paths: angular Fourier modes (n = 2) or spherical harmonics (n = 3)
 of the samples, interpolated radially.  ``vslice_direct`` quadratures the
 slice integral from scratch in a different chart and serves as the
@@ -41,6 +43,11 @@ CHORD_NODES_N2 = 160
 DISK_NODES_N3 = 48
 
 _BACKPROJECT_CHUNK = 4096
+
+# Most evaluator points one slice-quadrature call passes at once.  The bump
+# evaluator's temporaries (120 kB each) then stay in the heap instead of
+# faulting in fresh pages; below 1 << 13 the per-call overhead shows.
+_QUADRATURE_POINTS = 1 << 14
 
 # Node count of the uniform offset table the filtered profiles are
 # backprojected from.
@@ -190,7 +197,12 @@ def _slice_quadrature(f, theta, t):
     the rows of E(theta) spanning theta^perp.  There the lifted function's
     boundary factor is (1 - t^2)^(e - 1/2) (1 - |Y|^2)^(e - 1/2): the second
     is the weight of `_ball_rule`, the powers of 1 - t^2 are the stored
-    boundary exponent e + (n-1)/2.  One evaluator call per offset.
+    boundary exponent e + (n-1)/2.  One evaluator call per offset and chunk
+    of directions, each chunk at most `_QUADRATURE_POINTS` points (for the
+    rules of `_ball_rule`), so the evaluator's temporaries stay small.  The
+    weighted node sums are numpy's pairwise row sums, which do not depend on
+    the chunking (a BLAS gemv over 10-row chunks rounded about 20x worse on
+    a sign-changing basis function).
     """
     n = f.spec.n
     Y, W = _ball_rule(n, f.boundary_exponent)
@@ -198,13 +210,16 @@ def _slice_quadrature(f, theta, t):
         E = np.stack([-theta[:, 1], theta[:, 0]], axis=-1)[:, None, :]
     else:
         E = np.stack(_frames(theta), axis=1)
-    offsets = Y @ E
-    pts = np.empty_like(offsets)
+    step = _QUADRATURE_POINTS // Y.shape[0]
     out = np.empty((theta.shape[0], t.size))
-    for j, tj in enumerate(t):
-        np.multiply(offsets, math.sqrt(1.0 - tj * tj), out=pts)
-        pts += tj * theta[:, None, :]
-        out[:, j] = np.asarray(f.evaluator(pts), dtype=float) @ W
+    for lo in range(0, theta.shape[0], step):
+        rows = slice(lo, lo + step)
+        offsets = Y @ E[rows]
+        pts = np.empty_like(offsets)
+        for j, tj in enumerate(t):
+            np.multiply(offsets, math.sqrt(1.0 - tj * tj), out=pts)
+            pts += tj * theta[rows, None, :]
+            out[rows, j] = (np.asarray(f.evaluator(pts), dtype=float) * W).sum(axis=-1)
     return out
 
 

@@ -8,6 +8,8 @@ from vslice.grid import SliceData, SphereFunction
 from vslice.harness import (
     Phantom,
     ValidationReport,
+    _bump_evaluator,
+    _cap_profile,
     _smooth_step,
     compare,
     make_phantom,
@@ -86,6 +88,83 @@ def test_smooth_step_shape():
     ys = _smooth_step(xs)
     assert np.all(np.diff(ys) > 0)
     assert _smooth_step(0.5) == pytest.approx(0.5)
+
+
+def _unmasked_smooth_step(tau):
+    tau = np.asarray(tau, dtype=float)
+    lo = np.where(tau > 0.0, np.exp(-1.0 / np.where(tau > 0.0, tau, 1.0)), 0.0)
+    hi = np.where(tau < 1.0, np.exp(-1.0 / np.where(tau < 1.0, 1.0 - tau, 1.0)), 0.0)
+    return lo / (lo + hi)
+
+
+def _unmasked_cap_profile(cosine, width):
+    d = np.arccos(np.clip(cosine, -1.0, 1.0)) / width
+    inside = d < 1.0
+    dsq = np.where(inside, d * d, 0.0)
+    return np.where(inside, np.exp(1.0 - 1.0 / (1.0 - dsq)), 0.0)
+
+
+def _unmasked_bump(center, width, margin, n):
+    # the bump formula evaluated at every point, with no support mask
+    center = np.asarray(center, dtype=float)
+    center = center / np.linalg.norm(center)
+    cp, cl = center[:n], center[n]
+
+    def ev(pts):
+        pts = np.asarray(pts, dtype=float)
+        u = np.sum(pts * pts, axis=-1)
+        xl = np.sqrt(np.clip(1.0 - u, 0.0, None))
+        base = pts @ cp
+        vals = _unmasked_cap_profile(base + xl * cl, width)
+        vals = vals + _unmasked_cap_profile(base - xl * cl, width)
+        if margin > 0.0:
+            vals = vals * _unmasked_smooth_step((xl - margin) / margin)
+        return vals
+
+    return ev
+
+
+def test_bump_evaluator_matches_unmasked_formula():
+    # evaluating the bump only on its support changes no bit of its values
+    rng = np.random.default_rng(7)
+    for n, center, margin in (
+        (2, (0.3, 0.25, 0.92), 0.25),
+        (3, (0.3, 0.2, 0.15, 0.9), 0.0),
+        (3, (0.5, -0.1, 0.2, 0.3), 0.1),
+    ):
+        direction = rng.standard_normal((20000, n))
+        direction /= np.linalg.norm(direction, axis=1)[:, None]
+        pts = direction * rng.uniform(0.0, 1.0, (20000, 1)) ** 0.25
+        for width in (0.7, 1e-3):
+            got = _bump_evaluator(center, width, margin, n)(pts)
+            want = _unmasked_bump(center, width, margin, n)(pts)
+            assert np.array_equal(got, want)
+            if width == 0.7:
+                assert np.count_nonzero(got) > 1000
+        # one point: 0-d output, as before
+        one = _bump_evaluator(center, 0.7, margin, n)(pts[0])
+        assert np.ndim(one) == 0
+        assert np.array_equal(one, _unmasked_bump(center, 0.7, margin, n)(pts[0]))
+    for width in (0.7, 1e-3, 1.2):
+        # cosines within a few ulp of the support boundary cos(width); at
+        # width 1.2, edge + 1 ulp passes the mask but has arccos(.) / width = 1,
+        # which must give 0 without dividing by 1 - d^2 = 0
+        edge = math.cos(width)
+        ulps = np.arange(-6, 7) * np.spacing(edge)
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            for cosine in np.concatenate([edge + ulps, np.nextafter(edge, [2.0, -2.0])]):
+                got = _cap_profile(cosine, width)
+                assert np.array_equal(got, _unmasked_cap_profile(cosine, width))
+        cosine = np.cos(width * rng.uniform(0.0, 1.5, 5000))
+        assert np.array_equal(_cap_profile(cosine, width), _unmasked_cap_profile(cosine, width))
+    tau = np.concatenate([
+        [-1.0, 0.0, 5e-324, 1e-300, 0.5, np.nextafter(1.0, 0.0), 1.0, 2.0],
+        rng.uniform(-0.5, 1.5, 5000),
+    ])
+    with np.errstate(over="ignore"):
+        assert np.array_equal(_smooth_step(tau), _unmasked_smooth_step(tau))
+        for x in tau[:8]:
+            assert np.array_equal(_smooth_step(x), _unmasked_smooth_step(x))
 
 
 def test_phantom_dict_roundtrip():

@@ -26,7 +26,15 @@ from vslice import (
     vslice_forward,
 )
 from vslice.specfun import sphere_area
-from vslice.xform import _log_filter_matrix, _log_moment_matrix, _plane_filter_matrix
+from vslice.xform import (
+    _QUADRATURE_POINTS,
+    _ball_rule,
+    _frames,
+    _log_filter_matrix,
+    _log_moment_matrix,
+    _plane_filter_matrix,
+    _slice_quadrature,
+)
 
 
 def _cap_profile(dot, width):
@@ -339,6 +347,45 @@ def test_spherical_mean_requires_evaluator(g2, bump2):
         spherical_mean(SphereFunction(g2, bump2.smooth), (1.0, 0.0), 0.2)
     with pytest.raises(TypeError):
         spherical_mean(lift(bump2), (1.0, 0.0), 0.2)
+
+
+def test_slice_quadrature_chunks(bump2, bump3):
+    # direction chunks of at most _QUADRATURE_POINTS points agree with one
+    # evaluator call per offset over every direction, and see every point once
+    rng = np.random.default_rng(3)
+    for f in (bump2, bump3):
+        n = f.spec.n
+        Y, W = _ball_rule(n, f.boundary_exponent)
+        step = _QUADRATURE_POINTS // Y.shape[0]
+        t = f.grid.t[::4]
+        sizes = []
+
+        def counted(pts, _ev=f.evaluator):
+            sizes.append(np.size(pts) // n)
+            return _ev(pts)
+
+        g = SphereFunction(f.grid, f.smooth, f.boundary_exponent, counted)
+        for count in (1, step - 1, step, step + 1, 3 * step + 2):
+            theta = rng.standard_normal((count, n))
+            theta /= np.linalg.norm(theta, axis=1)[:, None]
+            if n == 2:
+                E = np.stack([-theta[:, 1], theta[:, 0]], axis=-1)[:, None, :]
+            else:
+                E = np.stack(_frames(theta), axis=1)
+            offsets = Y @ E
+            want = np.stack(
+                [
+                    (f.evaluator(tj * theta[:, None, :] + math.sqrt(1.0 - tj * tj) * offsets) * W)
+                    .sum(axis=-1)
+                    for tj in t
+                ],
+                axis=1,
+            )
+            sizes.clear()
+            got = _slice_quadrature(g, theta, t)
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+            assert max(sizes) <= _QUADRATURE_POINTS
+            assert sum(sizes) == count * Y.shape[0] * t.size
 
 
 # -- antipodal fold --------------------------------------------------------------
