@@ -9,6 +9,7 @@ rule built for exactly that power.
 """
 
 import math
+import numbers
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 
@@ -33,6 +34,9 @@ class GridSpec:
     t_rule: str = "chebyshev"
 
     def __post_init__(self):
+        counts = (self.n, self.n_angular, self.n_radial, self.n_t)
+        if not all(isinstance(c, numbers.Integral) and not isinstance(c, bool) for c in counts):
+            raise ValueError("n and the node counts must be integers")
         if self.n not in (2, 3):
             raise ValueError("only n = 2 and n = 3 are supported")
         if min(self.n_angular, self.n_radial, self.n_t) < 4:
@@ -309,9 +313,12 @@ class _ChartFunction:
             )
         if not np.all(np.isfinite(smooth)):
             raise ValueError("values must be finite")
+        boundary_exponent = float(boundary_exponent)
+        if not math.isfinite(boundary_exponent):
+            raise ValueError("boundary exponent must be finite")
         self.grid = grid
         self.smooth = smooth
-        self.boundary_exponent = float(boundary_exponent)
+        self.boundary_exponent = boundary_exponent
         self.evaluator = evaluator
 
     @property
@@ -346,7 +353,11 @@ class _BallChart(_ChartFunction):
     """Samples smooth * (1-|x'|^2)^boundary_exponent at the ball chart nodes.
 
     `evaluator`, when present, maps arbitrary chart points of shape (..., n)
-    to the smooth part, letting the transforms quadrature off-grid honestly.
+    to the smooth part; the forward map then runs its slice quadrature on
+    it, and `spherical_mean` and `vslice_direct` require one.  Without an
+    evaluator the forward map takes its spectral path from the samples,
+    which is exact for band-limited samples (singular basis functions among
+    them) and needs the Gauss-Jacobi radial rule.
     """
 
     @staticmethod

@@ -138,8 +138,8 @@ def make_phantom(p, spec):
     if p.kind == "even_constant":
         return SphereFunction.from_function(grid, lambda pts: np.ones(np.shape(pts)[:-1]))
     if p.kind == "axial_power":
-        if p.p < 0:
-            raise ValueError("axial power must be >= 0")
+        if not (math.isfinite(p.p) and p.p >= 0):
+            raise ValueError("axial power must be finite and >= 0")
         f = SphereFunction.from_function(
             grid, lambda pts: np.ones(np.shape(pts)[:-1]), boundary_exponent=p.p / 2.0
         )
@@ -147,11 +147,24 @@ def make_phantom(p, spec):
     if p.kind == "basis":
         if p.nu is None:
             raise ValueError("basis phantom needs an index nu")
+        # the grid must resolve the index for the spectral forward of the
+        # samples to be exact (see sphere_basis_grid)
+        m, _, k = p.nu
+        m_max = spec.n_angular // 2 if n == 2 else spec.n_angular
+        if m >= m_max:
+            raise ValueError(f"basis degree m = {m} needs m < {m_max} on this grid")
+        if m // 2 + k >= spec.n_radial:
+            raise ValueError(
+                f"basis index needs m // 2 + k < n_radial = {spec.n_radial}, "
+                f"got {m // 2 + k}"
+            )
         lam = p.lam if p.lam is not None else n / 2.0
         return sphere_basis_grid(p.nu, lam, grid)
     if p.kind == "bump":
         if p.center is None or len(p.center) != n + 1:
             raise ValueError("bump phantom needs a center with n+1 components")
+        if not 0.0 < np.linalg.norm(np.asarray(p.center, dtype=float)) < math.inf:
+            raise ValueError("bump center must be finite and nonzero")
         if not 0.0 < p.width < math.pi / 2:
             raise ValueError("bump width must lie in (0, pi/2)")
         if not 0.0 <= p.equator_margin < 1.0:

@@ -94,20 +94,22 @@ def slice_singular_function(nu, lam, theta, t):
 
 
 def sphere_basis_grid(nu, lam, grid):
-    """Hemisphere singular function sampled on a grid, exact boundary exponent."""
+    """Hemisphere singular function sampled on a grid, exact boundary exponent.
+
+    Samples only, with no evaluator, so `vslice_forward` takes the spectral
+    path.  That path is exact on these samples when the grid resolves the
+    index: m < n_angular / 2 at n = 2, m < n_angular (the polar count) at
+    n = 3, and m // 2 + k < n_radial on the Gauss-Jacobi radial rule.
+    `make_phantom` enforces that condition; the inner products of
+    `sphere_coefficients` and `synthesize_sphere` need the point samples only.
+    """
     n = grid.spec.n
     c = svd_constants(n, lam, nu).c_nu
     m, mu, k = nu
     p = jacobi_poly(k, lam - n / 2.0, m + n / 2.0 - 1.0, 2.0 * grid.u - 1.0)
     ang = sph_harm(n, m, mu, grid.ang)
     smooth = np.outer(ang, c * grid.r**m * p)
-
-    def ev(pts, _nu=nu, _lam=lam, _n=n, _c=c):
-        pts = np.asarray(pts, dtype=float)
-        u = sum(pts[..., k] * pts[..., k] for k in range(_n))
-        return _eta_smooth_at(_nu, _lam, _n, pts, u, _c)
-
-    return SphereFunction(grid, smooth, lam - n / 2.0 + 0.5, evaluator=ev)
+    return SphereFunction(grid, smooth, lam - n / 2.0 + 0.5)
 
 
 def slice_basis_grid(nu, lam, grid):

@@ -4,16 +4,20 @@ The forward map sends an even function on the sphere to its integrals over
 the vertical half slices indexed by an equatorial direction theta and an
 offset t.  In the upper-hemisphere chart that integral factors through the
 hyperplane Radon transform of the lifted ball function, which is what the
-production path computes.  A function with an evaluator goes through one
-slice quadrature (`_slice_quadrature` on the nodes of `_ball_rule`), which
-also serves spherical means; the forward runs it over one direction per
-antipodal pair and fills the partner by evenness.  It calls the evaluator
-once per offset and chunk of directions, so each call sees a bounded number
-of points however many directions the grid has.  Sampled functions take
-spectral paths: angular Fourier modes (n = 2) or spherical harmonics (n = 3)
-of the samples, interpolated radially.  ``vslice_direct`` quadratures the
-slice integral from scratch in a different chart and serves as the
-independent oracle.
+production path computes.  Whether a function carries an evaluator selects
+the path.  A function with one (the bump, constant and axial-power
+phantoms) goes through one slice quadrature (`_slice_quadrature` on the
+nodes of `_ball_rule`), which also serves spherical means; the forward runs
+it over one direction per antipodal pair and fills the partner by evenness.
+It calls the evaluator once per offset and chunk of directions, so each call
+sees a bounded number of points however many directions the grid has.
+Sampled functions, singular basis functions among them, take spectral
+paths: angular Fourier modes (n = 2) or spherical harmonics (n = 3) of the
+samples, interpolated radially in u = r^2, exact for band-limited samples
+the grid resolves.  On the "uniform" radial rule that interpolation would
+extrapolate past the last midpoint node toward u = 1, so sampled functions
+there are rejected.  ``vslice_direct`` quadratures the slice integral from scratch in a different
+chart and serves as the independent oracle.
 
 Also here: the dual (backprojection) operator, and the table
 backprojection every filtered route shares.  It filters each profile once in
@@ -283,13 +287,21 @@ def vslice_forward(f):
     one direction per antipodal pair, and the partner gets the profile
     reversed in t: f is even, so F(-theta, -t) = F(theta, t) exactly.
     Sampled functions take the spectral paths (angular Fourier modes for
-    n = 2, spherical harmonics for n = 3).  The stored boundary exponent
-    rises by (n-1)/2, which is exact.
+    n = 2, spherical harmonics for n = 3), which are exact for band-limited
+    samples the grid resolves; on the "uniform" radial rule their radial
+    interpolation extrapolates toward u = 1, so a sampled function there
+    raises ValueError.  The stored boundary exponent rises by (n-1)/2,
+    which is exact.
     """
     if not isinstance(f, SphereFunction):
         raise TypeError("vslice_forward expects a SphereFunction")
     n = f.spec.n
     if f.evaluator is None:
+        if f.spec.radial_rule != "gauss_jacobi":
+            raise ValueError(
+                "the sampled forward needs the gauss_jacobi radial rule, not %r; "
+                "attach an evaluator to use the slice quadrature" % f.spec.radial_rule
+            )
         if n == 2:
             return _forward_2(f, CHORD_NODES_N2)
         return _forward_sh_3(f, DISK_NODES_N3)
@@ -300,6 +312,17 @@ def vslice_forward(f):
     out[sel] = half
     out[grid.antipodal_index[sel]] = half[:, ::-1]
     return SliceData(grid, out, f.boundary_exponent + 0.5 * (n - 1))
+
+
+def _unit_direction(theta, n):
+    """theta scaled to unit length; it must be a finite, nonzero n-vector."""
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != (n,):
+        raise ValueError("theta must have %d components" % n)
+    norm = np.linalg.norm(theta)
+    if not 0.0 < norm < math.inf:
+        raise ValueError("theta must be finite and nonzero")
+    return theta / norm
 
 
 def vslice_direct(f, theta, t, chord_nodes=None):
@@ -317,9 +340,10 @@ def vslice_direct(f, theta, t, chord_nodes=None):
     t = float(t)
     if abs(t) >= 1.0:
         raise ValueError("need |t| < 1")
-    theta = np.asarray(theta, dtype=float)
-    theta = theta / np.linalg.norm(theta)
     n = f.spec.n
+    theta = _unit_direction(theta, n)
+    if chord_nodes is not None and chord_nodes < 1:
+        raise ValueError("chord_nodes must be >= 1")
     e = f.boundary_exponent
     r = math.sqrt(1.0 - t * t)
     if n == 2:
@@ -593,8 +617,7 @@ def spherical_mean(f, theta, t):
     t = float(t)
     if abs(t) >= 1.0:
         raise ValueError("need |t| < 1")
-    theta = np.asarray(theta, dtype=float)
-    theta = theta / np.linalg.norm(theta)
+    theta = _unit_direction(theta, f.spec.n)
     smooth = _slice_quadrature(f, theta[None, :], np.array([t]))[0, 0]
     return 2.0 * smooth * (1.0 - t * t) ** f.boundary_exponent / sphere_area(f.spec.n)
 

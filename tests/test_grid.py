@@ -46,6 +46,15 @@ def test_spec_validation():
     assert make_grid(GridSpec(3, 7, 16, 16)).n_ang_total == 7 * 14
 
 
+def test_spec_counts_must_be_integers():
+    # a float count used to build a grid with a rounded-up node count that
+    # write_vsl could not pack
+    for args in ((2, 16, 8, 16.5), (2, 16.0, 8, 16), (2.0, 16, 8, 16), (3, 8, True, 16)):
+        with pytest.raises(ValueError, match="integers"):
+            GridSpec(*args)
+    assert GridSpec(2, np.int64(16), 8, 16).n_angular == 16
+
+
 def test_spec_roundtrip():
     spec = default_spec(3)
     blob = json.dumps(spec.to_dict())
@@ -328,6 +337,11 @@ def test_values_finite_guard(grid):
     bad[0, 0] = np.nan
     with pytest.raises(ValueError):
         BallFunction(grid, bad)
+    for exponent in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="exponent"):
+            SliceData(grid, np.ones(SliceData._shape(grid)), exponent)
+        with pytest.raises(ValueError, match="exponent"):
+            SphereFunction(grid, np.ones(SphereFunction._shape(grid)), exponent)
 
 
 def test_sphere_function_norm_example():

@@ -1,9 +1,10 @@
 import math
+import struct
 
 import numpy as np
 import pytest
 
-from vslice import GridSpec, make_grid
+from vslice import GridSpec, make_grid, vslice_forward
 from vslice.grid import SliceData, SphereFunction
 from vslice.harness import (
     Phantom,
@@ -18,7 +19,8 @@ from vslice.harness import (
     write_json,
     write_vsl,
 )
-from vslice.specfun import SvdIndex
+from vslice.invert_svd import slice_basis_grid
+from vslice.specfun import SvdIndex, svd_constants
 
 SPEC2 = GridSpec(2, 32, 24, 16)
 SPEC3 = GridSpec(3, 8, 16, 12)
@@ -35,8 +37,9 @@ def test_axial_power_values():
     g = f.grid
     want = (1.0 - g.u[None, :]) ** 2
     assert np.allclose(f.values, want, rtol=1e-14)
-    with pytest.raises(ValueError):
-        make_phantom(Phantom("axial_power", p=-1.0), SPEC2)
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="axial power"):
+            make_phantom(Phantom("axial_power", p=bad), SPEC2)
 
 
 def test_basis_anchor():
@@ -44,8 +47,38 @@ def test_basis_anchor():
     g = f.grid
     want = np.sqrt(1.0 - g.u[None, :]) / math.sqrt(math.pi)
     assert np.allclose(f.values, want, rtol=1e-13)
+    # samples only: the forward takes the exact spectral path, not the slice
+    # quadrature through an evaluator
+    assert f.evaluator is None
     with pytest.raises(ValueError):
         make_phantom(Phantom("basis"), SPEC2)
+
+
+@pytest.mark.parametrize(
+    "spec, lam, resolved, unresolved",
+    [
+        # n = 2: m < n_angular / 2 = 8 and m // 2 + k < n_radial = 8
+        (GridSpec(2, 16, 8, 16), 1.0,
+         [(7, 1, 0), (7, 2, 0), (2, 1, 6), (3, 1, 6)],
+         [(8, 1, 0), (9, 1, 0), (2, 1, 7), (4, 1, 8)]),
+        # n = 3: m < n_angular = 8 and m // 2 + k < n_radial = 12
+        (GridSpec(3, 8, 12, 16), 1.5,
+         [(7, 15, 4), (1, 1, 11)],
+         [(8, 2, 0), (9, 1, 0), (1, 1, 12), (2, 1, 11)]),
+    ],
+)
+def test_basis_index_must_be_resolved(spec, lam, resolved, unresolved):
+    # a basis phantom is its samples, so its forward is the spectral one:
+    # exact up to the grid's resolution limit, rejected past it
+    for nu in resolved:
+        nu = SvdIndex(*nu)
+        f = make_phantom(Phantom("basis", nu=nu, lam=lam), spec)
+        s = svd_constants(spec.n, lam, nu).s_nu
+        want = s * slice_basis_grid(nu, lam, f.grid).values
+        assert np.max(np.abs(vslice_forward(f).values - want)) <= 1e-12 * s
+    for nu in unresolved:
+        with pytest.raises(ValueError, match="needs"):
+            make_phantom(Phantom("basis", nu=SvdIndex(*nu), lam=lam), spec)
 
 
 def test_bump_zero_below_margin():
@@ -62,6 +95,9 @@ def test_bump_zero_below_margin():
 def test_bump_needs_valid_params():
     with pytest.raises(ValueError):
         make_phantom(Phantom("bump", center=(1.0, 0.0), width=0.5), SPEC2)
+    for center in ((0, 0, 0), (0.0, math.nan, 1.0), (math.inf, 0.0, 1.0)):
+        with pytest.raises(ValueError, match="center"):
+            make_phantom(Phantom("bump", center=center, width=0.5), SPEC2)
     with pytest.raises(ValueError):
         make_phantom(Phantom("bump", center=(0, 0, 1), width=0.0), SPEC2)
     with pytest.raises(ValueError):
@@ -293,6 +329,21 @@ def test_vsl_rejects_garbage(tmp_path):
         read_vsl(long)
     with pytest.raises(TypeError):
         write_vsl(tmp_path / "x.vsl", np.zeros(4))
+
+
+def test_vsl_rejects_nonfinite_exponent(tmp_path):
+    g = make_grid(SPEC2)
+    good = tmp_path / "good.vsl"
+    write_vsl(good, SliceData(g, np.ones((g.n_ang_total, g.spec.n_t)), 0.5))
+    raw = bytearray(good.read_bytes())
+    # the exponent is the f64 after the four u32 of the second header block
+    at = 16 + struct.calcsize("<IdII") + struct.calcsize("<IIII")
+    assert struct.unpack_from("<d", raw, at) == (0.5,)
+    struct.pack_into("<d", raw, at, math.nan)
+    bad = tmp_path / "nan.vsl"
+    bad.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="exponent"):
+        read_vsl(bad)
 
 
 def test_json_roundtrip(tmp_path):

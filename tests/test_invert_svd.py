@@ -14,6 +14,7 @@ from vslice.grid import (
 )
 from vslice.invert_svd import (
     SpectralCoeffs,
+    _eta_smooth_at,
     analyze,
     reconstruct,
     slice_basis_grid,
@@ -123,6 +124,32 @@ def test_forward_maps_basis_to_basis(g2):
     assert np.max(np.abs(F.values - want)) < 1e-12 * s
 
 
+@pytest.mark.parametrize(
+    "spec, lam, indices",
+    [
+        (GridSpec(2, 16, 8, 16), 1.0, [(0, 1, 0), (3, 2, 2), (6, 1, 1)]),
+        (GridSpec(3, 8, 12, 16), 1.5, [(2, 4, 1), (5, 7, 0)]),
+    ],
+)
+def test_singular_relation_on_evaluator_path(spec, lam, indices):
+    # basis functions carry no evaluator, so attach one to keep the slice
+    # quadrature covered on the singular relation V+ eta_nu = s_nu zeta_nu
+    g = make_grid(spec)
+    n = spec.n
+    for nu in map(SvdIndex._make, indices):
+        const = svd_constants(n, lam, nu)
+
+        def ev(pts, nu=nu, c=const.c_nu):
+            pts = np.asarray(pts, dtype=float)
+            return _eta_smooth_at(nu, lam, n, pts, np.sum(pts * pts, axis=-1), c)
+
+        eta = sphere_basis_grid(nu, lam, g)
+        f = SphereFunction(g, eta.smooth, eta.boundary_exponent, ev)
+        s = const.s_nu
+        want = s * slice_basis_grid(nu, lam, g).values
+        assert np.max(np.abs(vslice_forward(f).values - want)) <= 1e-12 * s
+
+
 def test_grid_matches_pointwise_sampling(g2):
     nu = SvdIndex(2, 2, 1)
     lam = 1.0
@@ -133,6 +160,7 @@ def test_grid_matches_pointwise_sampling(g2):
     )
     direct = sphere_singular_function(nu, lam, amb)
     assert np.allclose(eta.values, direct, atol=1e-13)
+    assert eta.evaluator is None  # so vslice_forward takes the spectral path
     zeta = slice_basis_grid(nu, lam, g2)
     direct_z = slice_singular_function(nu, lam, g2.ang[:, None, :], g2.t[None, :])
     assert np.allclose(zeta.values, direct_z, atol=1e-13)

@@ -116,6 +116,11 @@ def test_direct_requires_evaluator_and_interior_t(g2, bump2):
         vslice_direct(sampled, (1.0, 0.0), 0.2)
     with pytest.raises(ValueError):
         vslice_direct(bump2, (1.0, 0.0), 1.0)
+    for theta in ((0.0, 0.0), (np.nan, 1.0), (np.inf, 0.0), (1.0, 0.0, 0.0), (1.0,)):
+        with pytest.raises(ValueError, match="theta"):
+            vslice_direct(bump2, theta, 0.2)
+    with pytest.raises(ValueError, match="chord_nodes"):
+        vslice_direct(bump2, (1.0, 0.0), 0.2, chord_nodes=0)
 
 
 def test_direct_constant_n3(g3):
@@ -211,6 +216,23 @@ def test_forward_sampled_matches_evaluator_n3(g3):
     Fs = vslice_forward(SphereFunction(g3, f.smooth))
     Fe = vslice_forward(f)
     assert np.max(np.abs(Fs.values - Fe.values)) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [GridSpec(2, 16, 8, 16, radial_rule="uniform"), GridSpec(3, 8, 12, 16, radial_rule="uniform")],
+)
+def test_sampled_forward_rejects_uniform_radial_rule(spec):
+    # the radial interpolation of the spectral path extrapolates past the
+    # last midpoint node toward u = 1, where its weights overflow; the slice
+    # quadrature through an evaluator does not interpolate and still works
+    g = make_grid(spec)
+    one = SphereFunction.from_function(g, lambda p: np.ones(np.asarray(p).shape[:-1]))
+    with pytest.raises(ValueError, match="uniform"):
+        vslice_forward(SphereFunction(g, one.smooth))
+    F = vslice_forward(one)
+    want = math.pi * np.sqrt(1 - g.t**2) if spec.n == 2 else 2.0 * math.pi * (1 - g.t**2)
+    assert np.max(np.abs(F.values - want[None, :])) < 1e-13 * np.max(want)
 
 
 def test_forward_evenness(g2, g3, bump2, bump3):
@@ -347,6 +369,9 @@ def test_spherical_mean_requires_evaluator(g2, bump2):
         spherical_mean(SphereFunction(g2, bump2.smooth), (1.0, 0.0), 0.2)
     with pytest.raises(TypeError):
         spherical_mean(lift(bump2), (1.0, 0.0), 0.2)
+    for theta in ((0.0, 0.0), (np.nan, 1.0), (np.inf, 0.0), (1.0, 0.0, 0.0), (1.0,)):
+        with pytest.raises(ValueError, match="theta"):
+            spherical_mean(bump2, theta, 0.2)
 
 
 def test_slice_quadrature_chunks(bump2, bump3):
