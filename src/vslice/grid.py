@@ -18,7 +18,6 @@ from scipy.special import roots_jacobi, roots_legendre
 
 from .specfun import jacobi_poly, log_gamma
 
-RADIAL_RULES = ("gauss_jacobi", "uniform")
 T_RULES = ("chebyshev", "gauss_legendre")
 
 
@@ -30,7 +29,6 @@ class GridSpec:
     n_angular: int
     n_radial: int
     n_t: int
-    radial_rule: str = "gauss_jacobi"
     t_rule: str = "chebyshev"
 
     def __post_init__(self):
@@ -43,8 +41,6 @@ class GridSpec:
             raise ValueError("all node counts must be >= 4")
         if self.n == 2 and self.n_angular % 2:
             raise ValueError("n = 2 needs an even angular count (antipodal pairs)")
-        if self.radial_rule not in RADIAL_RULES:
-            raise ValueError("radial_rule must be one of %r" % (RADIAL_RULES,))
         if self.t_rule not in T_RULES:
             raise ValueError("t_rule must be one of %r" % (T_RULES,))
 
@@ -143,16 +139,10 @@ class Grid:
 
         self.n_ang_total = self.ang.shape[0]
 
-        R = spec.n_radial
-        if spec.radial_rule == "gauss_jacobi":
-            x, wj = roots_jacobi(R, 0.0, (n - 2) / 2.0)
-            self.u = (x + 1.0) / 2.0
-            # sum w h(u) = int_0^1 h(r^2) r^(n-1) dr for polynomial h
-            self._radial_base = wj * 2.0 ** (-(n + 2) / 2.0)
-        else:
-            r = (np.arange(R) + 0.5) / R
-            self.u = r * r
-            self._radial_base = r ** (n - 1) / R
+        x, wj = roots_jacobi(spec.n_radial, 0.0, (n - 2) / 2.0)
+        self.u = (x + 1.0) / 2.0
+        # sum w h(u) = int_0^1 h(r^2) r^(n-1) dr for polynomial h
+        self._radial_base = wj * 2.0 ** (-(n + 2) / 2.0)
         self.r = np.sqrt(self.u)
 
         M = spec.n_t
@@ -171,16 +161,14 @@ class Grid:
     def radial_weights(self, extra=0.0):
         """Weights w with sum w[i] h(u[i]) = int_0^1 h(r^2) (1-r^2)^extra r^(n-1) dr.
 
-        Exact for polynomial h up to degree n_radial - 1 on the Gauss-Jacobi
-        rule; the uniform rule just multiplies the midpoint weights pointwise.
-        Requires extra > -1.
+        Exact for polynomial h up to degree n_radial - 1; requires extra > -1.
         """
         extra = float(extra)
         if extra <= -1.0:
             raise ValueError("radial weight exponent must exceed -1")
         w = self._radial_w.get(extra)
         if w is None:
-            if self.spec.radial_rule == "uniform" or extra == 0.0:
+            if extra == 0.0:
                 w = self._radial_base * (1.0 - self.u) ** extra
             else:
                 n = self.spec.n
@@ -357,7 +345,7 @@ class _BallChart(_ChartFunction):
     it, and `spherical_mean` and `vslice_direct` require one.  Without an
     evaluator the forward map takes its spectral path from the samples,
     which is exact for band-limited samples (singular basis functions among
-    them) and needs the Gauss-Jacobi radial rule.
+    them).
     """
 
     @staticmethod

@@ -15,7 +15,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .grid import (
-    RADIAL_RULES,
     T_RULES,
     GridSpec,
     SliceData,
@@ -241,6 +240,7 @@ _MAGIC = b"VSLFILE\x00"
 _VERSION = 1
 _KIND_SLICE = 0
 _KIND_SPHERE = 1
+_HEADER_BYTES = 16 + struct.calcsize("<IdII") + struct.calcsize("<IIIId")
 
 
 def _pack_header(kind):
@@ -274,9 +274,9 @@ def write_vsl(path, data, lam=float("nan")):
                 "<IIIId",
                 spec.n_angular,
                 spec.n_radial,
-                # rule codes are positions in the grid's rule lists, so the
-                # default rules are code 0
-                RADIAL_RULES.index(spec.radial_rule),
+                # rule codes: the radial rule is always Gauss-Jacobi (0); the
+                # t rule is its position in T_RULES
+                0,
                 T_RULES.index(spec.t_rule),
                 data.boundary_exponent,
             )
@@ -292,6 +292,8 @@ def read_vsl(path):
         raw = fh.read()
     if raw[:8] != _MAGIC:
         raise ValueError("not a vsl file")
+    if len(raw) < _HEADER_BYTES:
+        raise ValueError("truncated vsl header")
     version, kind = struct.unpack_from("<II", raw, 8)
     if version != _VERSION:
         raise ValueError(f"unsupported vsl version {version}")
@@ -301,11 +303,11 @@ def read_vsl(path):
     off = 16 + struct.calcsize("<IdII")
     n_angular, n_radial, rrule, trule, exponent = struct.unpack_from("<IIIId", raw, off)
     off += struct.calcsize("<IIIId")
-    if rrule >= len(RADIAL_RULES) or trule >= len(T_RULES):
-        raise ValueError("unknown quadrature rule code in file")
-    spec = GridSpec(
-        int(n), int(n_angular), int(n_radial), int(n_t), RADIAL_RULES[rrule], T_RULES[trule]
-    )
+    if rrule != 0:
+        raise ValueError(f"unknown radial rule code {rrule}; only 0 (gauss_jacobi) exists")
+    if trule >= len(T_RULES):
+        raise ValueError(f"unknown t rule code {trule}")
+    spec = GridSpec(int(n), int(n_angular), int(n_radial), int(n_t), T_RULES[trule])
     grid = make_grid(spec)
     if grid.n_ang_total != n_ang_total:
         raise ValueError("angular node count does not match the grid spec")

@@ -10,8 +10,9 @@ removed by linear extrapolation from the pair (eps, 2 eps).
 The circle mean of a plane wave e^(i sigma theta . x) is J0(rho sigma), so
 the whole truncated sum commutes with the backprojection: it acts on each
 t-profile as one radial multiplier m(sigma) = sum_q W_q (1 - J0(rho_q sigma)),
-applied once per folded profile before the table backprojection `john` uses.
-The annulus formula and its constant are this route's own.
+a t-filter like john's that goes through the same harmonic kernel
+(`xform._radial_kernel`).  The annulus formula and its constant are this
+route's own.
 """
 
 import math
@@ -28,14 +29,15 @@ from scipy.special import j0, roots_legendre
 from .grid import BallFunction, project
 from .invert_john import _plane_data
 from .specfun import method_constants
-from .xform import _node_spline, _symmetric, _table_backprojection, _table_offsets
+from .xform import _filtered_backprojection, _kernel_offsets, _node_spline, _radial_kernel
 
 DEFAULT_EPS = 4.0 * 1.3 / 383  # 0.01358, the inner radius the hs figures are quoted at
 PANEL_NODES = 8  # Gauss-Legendre nodes per geometric radial panel
 # Radii at least 2 exceed 1 + every chart radius, the largest offset |s - u|
-# at which a profile supported in [-1, 1] meets a table offset s; their
+# at which a profile supported in [-1, 1] meets a kernel offset s; their
 # arcsine kernels are smooth there and are applied in space.
 FAR_RADIUS = 2.0
+STEP = 1.0 / 4096  # offset step of the periodic profiles the multiplier acts on
 
 
 def _annulus_rule(eps, r_max):
@@ -57,28 +59,25 @@ def _annulus_rule(eps, r_max):
     return rho.ravel(), weight.ravel()
 
 
-@lru_cache(maxsize=16)
-def _annulus_table(grid, eps, r_max, tail_correction):
-    """(s, M): the offset table of `_table_offsets` and the matrix taking node
-    values of plane data to their profile filtered by the annulus multiplier.
+@lru_cache(maxsize=8)
+def _annulus_kernel(grid, eps, r_max, tail_correction):
+    """The radial kernel (`xform._radial_kernel`) of the annulus multiplier.
 
-    The profile is the natural spline of `_node_spline`, zero outside
-    [-1, 1], sampled on a periodic grid with the table's step, so the table
-    offsets are grid points.  Radii below FAR_RADIUS act through J0 with one
-    real FFT per column; the period exceeds FAR_RADIUS + 1 + span, so no
-    periodic copy of a profile reaches the table.  Each larger radius rho
+    The profile of each node's cardinal function is the natural spline of
+    `_node_spline`, zero outside [-1, 1], sampled on a periodic grid of step
+    STEP.  Radii below FAR_RADIUS act through J0 with one real FFT per
+    column; the period exceeds FAR_RADIUS + 2, so no periodic copy of a
+    profile reaches an offset inside the unit ball.  Each larger radius rho
     acts as g - A_rho g, where A_rho convolves with the arcsine density
     1 / (pi sqrt(rho^2 - u^2)) on |u| < rho: the data reach it only at
-    |u| <= 1 + span < FAR_RADIUS, where it is smooth, so the sum of those
-    densities is sampled there as one kernel on the same period.  The cost
-    therefore grows only with the number of panels, like log(r_max).
+    |u| < 2 <= FAR_RADIUS, where it is smooth, so the sum of those densities
+    is sampled there as one kernel on the same period.  The cost therefore
+    grows only with the number of panels, like log(r_max).  The filtered
+    profiles are read at `_kernel_offsets` by linear interpolation.
     """
-    s = _table_offsets(grid)
-    half = s.size // 2
-    step = s[-1] / half
-    count = fft.next_fast_len(math.ceil((FAR_RADIUS + 1.0 + s[-1]) / step) + 1, real=True)
+    count = fft.next_fast_len(math.ceil((FAR_RADIUS + 2.0) / STEP) + 1, real=True)
     k = np.arange(count)
-    v = step * np.where(2 * k < count, k, k - count)
+    v = STEP * np.where(2 * k < count, k, k - count)
     _, spline = _node_spline(grid.t)
     samples = np.zeros((count, grid.t.size))
     inside = np.abs(v) < 1.0
@@ -86,19 +85,23 @@ def _annulus_table(grid, eps, r_max, tail_correction):
 
     rho, weight = _annulus_rule(eps, r_max)
     far = rho >= FAR_RADIUS
-    sigma = 2.0 * np.pi * fft.rfftfreq(count, step)
+    sigma = 2.0 * np.pi * fft.rfftfreq(count, STEP)
     m = weight[~far] @ (1.0 - j0(np.outer(rho[~far], sigma)))
     reach = np.abs(v) < FAR_RADIUS
     kernel = np.zeros(count)
     kernel[reach] = weight[far] @ (
         1.0 / (np.pi * np.sqrt(rho[far, None] ** 2 - v[None, reach] ** 2))
     )
-    m += weight[far].sum() - step * fft.rfft(kernel).real
+    m += weight[far].sum() - STEP * fft.rfft(kernel).real
     if tail_correction:
         m += 2.0 * np.pi / r_max
 
     filtered = fft.irfft(m[:, None] * fft.rfft(samples, axis=0), n=count, axis=0)
-    return s, _symmetric(filtered[np.arange(-half, half + 1) % count])
+    pos = _kernel_offsets(grid) / STEP
+    lo = np.floor(pos).astype(int)
+    frac = (pos - lo)[..., None]
+    M = (1.0 - frac) * filtered[lo % count] + frac * filtered[(lo + 1) % count]
+    return _radial_kernel(grid, M)
 
 
 def invert_hypersingular(F, eps=None, r_max=4.0, tail_correction=True):
@@ -124,6 +127,6 @@ def invert_hypersingular(F, eps=None, r_max=4.0, tail_correction=True):
     if not (0.0 < eps < r_max and math.isfinite(r_max)):
         raise ValueError("need 0 < eps < r_max < inf")
     phi = _plane_data(F)
-    table = _annulus_table(grid, float(eps), float(r_max), bool(tail_correction))
+    K = _annulus_kernel(grid, float(eps), float(r_max), bool(tail_correction))
     c = method_constants(2, ell=1).hs_constant
-    return project(BallFunction(grid, c * _table_backprojection(phi, *table)))
+    return project(BallFunction(grid, c * _filtered_backprojection(phi, K)))

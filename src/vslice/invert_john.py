@@ -4,17 +4,18 @@ Dividing slice data by sqrt(1-t^2) turns slice integrals into plane
 integrals of the lifted chart function.  Backprojecting those and applying
 the negative Laplacian recovers the lift: directly in three dimensions,
 through a logarithmic filter in the offset variable in two.  Backprojection
-commutes with the Laplacian, so each profile is filtered once in t (-d^2/dt^2,
-after the log filter when n = 2) and backprojected straight onto the chart
-nodes.  The result is multiplied back by |x_{n+1}| to give the even function
-on the sphere.
+commutes with the Laplacian, so the profiles are filtered in t (-d^2/dt^2,
+after the log filter when n = 2) and backprojected onto the chart nodes in
+one step: the filter acts as one radial matrix per angular harmonic degree
+(`xform._filter_kernel`).  The result is multiplied back by |x_{n+1}| to
+give the even function on the sphere.
 """
 
 import numpy as np
 
 from .grid import BallFunction, SliceData, project
 from .specfun import method_constants
-from .xform import _filter_table, _table_backprojection
+from .xform import _filter_kernel, _filtered_backprojection
 
 
 def _plane_data(F):
@@ -29,7 +30,7 @@ def _plane_data(F):
 def _reconstruct(F, constant):
     """constant * (filtered backprojection of the plane data), on the sphere."""
     G = _plane_data(F)
-    smooth = constant * _table_backprojection(G, *_filter_table(G.grid, G.boundary_exponent))
+    smooth = constant * _filtered_backprojection(G, _filter_kernel(G.grid, G.boundary_exponent))
     return project(BallFunction(F.grid, smooth))
 
 

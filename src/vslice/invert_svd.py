@@ -99,7 +99,7 @@ def sphere_basis_grid(nu, lam, grid):
     Samples only, with no evaluator, so `vslice_forward` takes the spectral
     path.  That path is exact on these samples when the grid resolves the
     index: m < n_angular / 2 at n = 2, m < n_angular (the polar count) at
-    n = 3, and m // 2 + k < n_radial on the Gauss-Jacobi radial rule.
+    n = 3, and m // 2 + k < n_radial.
     `make_phantom` enforces that condition; the inner products of
     `sphere_coefficients` and `synthesize_sphere` need the point samples only.
     """

@@ -14,17 +14,15 @@ sees a bounded number of points however many directions the grid has.
 Sampled functions, singular basis functions among them, take spectral
 paths: angular Fourier modes (n = 2) or spherical harmonics (n = 3) of the
 samples, interpolated radially in u = r^2, exact for band-limited samples
-the grid resolves.  On the "uniform" radial rule that interpolation would
-extrapolate past the last midpoint node toward u = 1, so sampled functions
-there are rejected.  ``vslice_direct`` quadratures the slice integral from scratch in a different
-chart and serves as the independent oracle.
+the grid resolves.  ``vslice_direct`` quadratures the slice integral from
+scratch in a different chart and serves as the independent oracle.
 
-Also here: the dual (backprojection) operator, and the table
-backprojection every filtered route shares.  It filters each profile once in
-the offset variable with a cached matrix and backprojects the filtered
-profile onto the chart nodes: `john` and `ac` pass -d^2/dt^2 (after a log
-convolution when n = 2), `hs` its annulus multiplier.  Both backprojections
-sum one direction per antipodal pair of folded profiles.
+Also here: the dual (backprojection) operator `dual_radon`, the spatial
+oracle, and the harmonic kernel every filtered route shares.  By Funk-Hecke
+the backprojection of t-filtered profiles is diagonal in the angular
+harmonics, so each t-filter becomes one radial matrix per harmonic degree:
+`john` and `ac` pass -d^2/dt^2 (after a log convolution when n = 2), `hs`
+its annulus multiplier.
 """
 
 import math
@@ -35,7 +33,7 @@ from numpy.polynomial.chebyshev import chebder, chebvander
 from scipy.interpolate import CubicSpline
 from scipy.special import roots_jacobi, roots_legendre
 
-from .grid import SliceData, SphereFunction
+from .grid import SliceData, SphereFunction, _symmetrize
 from .specfun import harmonic_dim, sph_harm, sphere_area
 
 # Quadrature sizes for the slice integrals.  The chord rule is
@@ -52,10 +50,6 @@ _BACKPROJECT_CHUNK = 4096
 # evaluator's temporaries (120 kB each) then stay in the heap instead of
 # faulting in fresh pages; below 1 << 13 the per-call overhead shows.
 _QUADRATURE_POINTS = 1 << 14
-
-# Node count of the uniform offset table the filtered profiles are
-# backprojected from.
-TABLE_NODES = 8193
 
 
 @lru_cache(maxsize=256)
@@ -123,14 +117,14 @@ def _modes_at_radii(f, rho):
 
 @lru_cache(maxsize=8)
 def _sh_basis(grid, lmax):
-    """Real spherical harmonics on the angular nodes: (A, n_lm) and degrees."""
-    cols = []
-    degs = []
-    for l in range(lmax + 1):
-        for mu in range(1, harmonic_dim(3, l) + 1):
-            cols.append(sph_harm(3, l, mu, grid.ang))
-            degs.append(l)
-    return np.stack(cols, axis=1), np.asarray(degs)
+    """Real spherical harmonics on the angular nodes, (A, n_lm), and their
+    ascending degrees; both read-only."""
+    nus = [(l, mu) for l in range(lmax + 1) for mu in range(1, harmonic_dim(3, l) + 1)]
+    Y = np.stack([sph_harm(3, l, mu, grid.ang) for l, mu in nus], axis=1)
+    degs = np.array([l for l, _ in nus])
+    Y.setflags(write=False)
+    degs.setflags(write=False)
+    return Y, degs
 
 
 def _sh_rep(f):
@@ -288,20 +282,13 @@ def vslice_forward(f):
     reversed in t: f is even, so F(-theta, -t) = F(theta, t) exactly.
     Sampled functions take the spectral paths (angular Fourier modes for
     n = 2, spherical harmonics for n = 3), which are exact for band-limited
-    samples the grid resolves; on the "uniform" radial rule their radial
-    interpolation extrapolates toward u = 1, so a sampled function there
-    raises ValueError.  The stored boundary exponent rises by (n-1)/2,
-    which is exact.
+    samples the grid resolves.  The stored boundary exponent rises by
+    (n-1)/2, which is exact.
     """
     if not isinstance(f, SphereFunction):
         raise TypeError("vslice_forward expects a SphereFunction")
     n = f.spec.n
     if f.evaluator is None:
-        if f.spec.radial_rule != "gauss_jacobi":
-            raise ValueError(
-                "the sampled forward needs the gauss_jacobi radial rule, not %r; "
-                "attach an evaluator to use the slice quadrature" % f.spec.radial_rule
-            )
         if n == 2:
             return _forward_2(f, CHORD_NODES_N2)
         return _forward_sh_3(f, DISK_NODES_N3)
@@ -371,35 +358,24 @@ def vslice_direct(f, theta, t, chord_nodes=None):
 # -- dual transform ------------------------------------------------------------
 
 
-def _fold(F):
-    """One direction per antipodal pair: (directions, weights / sigma_{n-1},
-    folded profiles F(theta, t) + F(-theta, -t)).
-
-    Every backprojection integrates F(theta, theta . x) over all directions,
-    where the partner term F(-theta, -theta . x) is the folded-in profile at
-    the same offset.  The sum is exact for any data: the odd part of F, which
-    cancels between theta and -theta, never reaches a reconstruction.
-    """
-    grid = F.grid
-    sel = np.arange(grid.n_ang_total) < grid.antipodal_index
-    w = grid.ang_weight[sel] / sphere_area(grid.spec.n)
-    values = F.values
-    folded = values[sel] + values[grid.antipodal_index[sel]][:, ::-1]
-    return grid.ang[sel], w, folded
-
-
 def _dual_rep(F):
-    # C^2 cubic spline of each folded t-profile, endpoints pinned to zero at
-    # t = +-1 (slice data of integrable functions vanishes there).  It is the
-    # interpolant of `_node_spline` that the n = 2 filters act on, so
-    # dual_radon is their spatial reference.
+    # one direction per antipodal pair with the folded profile
+    # F(theta, t) + F(-theta, -t), exact for any data (the odd part cancels),
+    # as a C^2 cubic spline pinned to zero at t = +-1 (slice data of
+    # integrable functions vanishes there).  It is the interpolant of
+    # `_node_spline` that the n = 2 filters act on, so dual_radon is their
+    # spatial reference.
     rep = getattr(F, "_dual_coeffs", None)
     if rep is None:
-        ang, w, folded = _fold(F)
+        grid = F.grid
+        sel = np.arange(grid.n_ang_total) < grid.antipodal_index
+        w = grid.ang_weight[sel] / sphere_area(grid.spec.n)
+        values = F.values
+        folded = values[sel] + values[grid.antipodal_index[sel]][:, ::-1]
         pad = np.zeros((folded.shape[0], 1))
-        x = np.concatenate(([-1.0], F.grid.t, [1.0]))
+        x = np.concatenate(([-1.0], grid.t, [1.0]))
         y = np.concatenate([pad, folded, pad], axis=1)
-        rep = (ang, w, x, CubicSpline(x, y, axis=1, bc_type="natural").c)
+        rep = (grid.ang[sel], w, x, CubicSpline(x, y, axis=1, bc_type="natural").c)
         F._dual_coeffs = rep
     return rep
 
@@ -432,8 +408,10 @@ def is_even_slice_data(F, tol=1e-12):
     """Whether F(-theta, -t) = F(theta, t) holds to a relative tolerance.
 
     Slice transforms of even sphere functions always satisfy this; measured
-    data satisfy it only up to their noise.  A diagnostic only: the
-    backprojections fold antipodal pairs whatever the data.
+    data satisfy it only up to their noise.  A diagnostic only: the odd part
+    of any data cancels in every backprojection, because `dual_radon` folds
+    antipodal pairs and the harmonic kernel of the filtered routes is even
+    under (theta, t) -> (-theta, -t).
     """
     if not isinstance(F, SliceData):
         raise TypeError("is_even_slice_data expects SliceData")
@@ -546,58 +524,83 @@ def _plane_filter_matrix(t, s, a):
     return -(p2 * w0[:, None] + 2.0 * p1 * w1[:, None] + p0 * w2[:, None])
 
 
-def _table_offsets(grid):
-    """The uniform offset table, s_i = (i - TABLE_NODES // 2) * step, exactly
-    antisymmetric.  It spans the largest chart radius, which bounds theta . x'
-    at every chart node."""
-    span = float(grid.r.max())
-    s = np.linspace(-span, span, TABLE_NODES)
-    s = 0.5 * (s - s[::-1])
-    s.setflags(write=False)
-    return s
-
-
-def _symmetric(M):
-    """M made exact under t -> -t, s -> -s like the nodes, so that filtering the
-    reversed profile of a folded pair costs no rounding beyond the sums; read-only."""
-    M = 0.5 * (M + M[::-1, ::-1])
-    M.setflags(write=False)
-    return M
-
-
 @lru_cache(maxsize=16)
-def _filter_table(grid, exponent):
-    """(s, M): the uniform offset table and the matrix taking node values of
-    plane data with boundary exponent `exponent` to their filtered profile on it.
+def _funk_hecke_rule(grid):
+    """(c, wP): cosines c_q, exactly antisymmetric in q, and weights wP[l, q],
+    read-only, such that for every angular harmonic Y of degree l
 
-    The filter is -d^2/ds^2 for n = 3, where the exponent enters, and
-    -d^2/ds^2 of the log convolution for n = 2.
+        (1/sigma_{n-1}) int h(theta . omega) Y(theta) dtheta
+            = Y(omega) sum_q wP[l, q] h(c_q)
+
+    (Funk-Hecke).  n = 2: the circle angles 2 pi q / A, q = 0..A/2, with the
+    partner A - q folded into the weight; degree m gets cos(2 pi m q / A) / A,
+    so at grid directions the mode sum is the trapezoid direction sum exactly.
+    n = 3: 2 n_t Gauss-Legendre nodes weighted by P_l(c_q) / 2 for
+    l <= n_polar - 1, the band the grid's harmonic analysis is exact for.
     """
-    s = _table_offsets(grid)
     if grid.spec.n == 2:
-        M = _log_filter_matrix(grid.t, s)
+        A = grid.n_ang_total
+        q = np.arange(A // 2 + 1)
+        c = _symmetrize(np.cos(2.0 * np.pi * q / A))
+        fold = np.where((q == 0) | (2 * q == A), 1.0, 2.0) / A
+        wP = np.cos(2.0 * np.pi * (np.outer(q, q) % A) / A) * fold
     else:
-        M = _plane_filter_matrix(grid.t, s, exponent)
-    return s, _symmetric(M)
+        c, w = roots_legendre(2 * grid.spec.n_t)
+        c = _symmetrize(c)
+        wP = _legendre_table(grid.n_polar - 1, c) * (0.5 * w)
+    c.setflags(write=False)
+    wP.setflags(write=False)
+    return c, wP
 
 
-def _table_backprojection(G, s, M):
+def _kernel_offsets(grid):
+    """The offsets r_j c_q at which every t-filter is sampled, (n_radial, Q)."""
+    return np.outer(grid.r, _funk_hecke_rule(grid)[0])
+
+
+def _radial_kernel(grid, M):
+    """K[l, j, k] = sum_q wP[l, q] M[j, q, k], read-only, where M[j, q, k] is
+    the filtered profile of node k's cardinal function at the offset r_j c_q.
+    M is first made exact under (c, t) -> (-c, -t), like the nodes, so the odd
+    part of the data cancels to rounding (the n = 2 log filter at c and -c
+    differs by about 1e-10)."""
+    M = 0.5 * (M + M[:, ::-1, ::-1])
+    K = np.tensordot(_funk_hecke_rule(grid)[1], M, axes=(1, 1))
+    K.setflags(write=False)
+    return K
+
+
+@lru_cache(maxsize=8)
+def _filter_kernel(grid, exponent):
+    """The radial kernel of john's t-filter for plane data with boundary
+    exponent `exponent`: -d^2/ds^2 for n = 3, where the exponent enters, and
+    -d^2/ds^2 of the log convolution for n = 2; sampled one radius at a time."""
+    if grid.spec.n == 2:
+        rows = [_log_filter_matrix(grid.t, s) for s in _kernel_offsets(grid)]
+    else:
+        rows = [_plane_filter_matrix(grid.t, s, exponent) for s in _kernel_offsets(grid)]
+    return _radial_kernel(grid, np.stack(rows))
+
+
+def _filtered_backprojection(G, K):
     """(1/sigma_{n-1}) int (KG)(theta, theta . x') dtheta at the chart nodes,
-    shape (n_ang_total, n_radial), where M takes the node values of a profile
-    to its filtered profile KG on the uniform offsets s.
-
-    The filter acts once per folded profile, and the filtered profiles are
-    linearly interpolated on the table.  `john` and `ac` pass the matrix of
-    `_filter_table`: backprojection commutes with the Laplacian,
-    -Delta R*g = R*(-g'').  `hs` passes its annulus multiplier.
+    shape (n_ang_total, n_radial), for a kernel K of `_radial_kernel`:
+    harmonic analysis (an rFFT over angles at n = 2, `_sh_basis` at n = 3),
+    K per degree, synthesis.  `john` and `ac` pass `_filter_kernel`, since
+    -Delta R*g = R*(-g''); `hs` passes its annulus multiplier.
     """
-    ang, w, folded = _fold(G)
-    table = folded @ M.T
-    pts = G.grid.ball_points
-    out = np.zeros(pts.shape[:-1])
-    for k in range(len(w)):
-        out += w[k] * np.interp(pts @ ang[k], s, table[k])
-    return out
+    grid = G.grid
+    if grid.spec.n == 2:
+        modes = np.fft.rfft(G.values, axis=0)
+        out = K @ np.stack([modes.real, modes.imag], axis=-1)
+        return np.fft.irfft(out[..., 0] + 1j * out[..., 1], n=grid.n_ang_total, axis=0)
+    Y, degs = _sh_basis(grid, grid.n_polar - 1)
+    coef = (Y * grid.ang_weight[:, None]).T @ G.values
+    out = np.empty((coef.shape[0], grid.spec.n_radial))
+    for l, Kl in enumerate(K):
+        rows = degs == l
+        out[rows] = coef[rows] @ Kl.T
+    return Y @ out
 
 
 # -- spherical means -----------------------------------------------------------

@@ -40,7 +40,7 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert cli(["forward", "--phantom", "bump", "--n", "2", "--center", "0.1,b,0.9",
                 "--out", out]) == 2
     assert not (tmp_path / "s.vsl").exists()
-    # the backprojection table is sized from the grid; there is no resolution knob
+    # the backprojection kernel is sized from the grid; there is no resolution knob
     assert cli(["invert", "--method", "john", "--in", "x.vsl", "--resolution", "96"]) == 2
     cfg = tmp_path / "res.json"
     cfg.write_text(json.dumps({"method": "john", "infile": "x.vsl", "resolution": 96}))
@@ -52,6 +52,14 @@ def test_missing_input_exits_1(tmp_path, capsys):
     assert cli(["invert", "--method", "john", "--in", str(tmp_path / "no.vsl")]) == 1
     err = capsys.readouterr().err
     assert "vslice: error" in err
+
+
+def test_truncated_input_exits_1(artifacts, tmp_path, capsys):
+    _, _, sino = artifacts
+    cut = tmp_path / "cut.vsl"
+    cut.write_bytes(sino.read_bytes()[:50])
+    assert cli(["invert", "--method", "john", "--in", str(cut)]) == 1
+    assert "vslice: error: truncated" in capsys.readouterr().err
 
 
 def test_phantom_description_round_trip(artifacts):

@@ -38,8 +38,6 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         GridSpec(2, 3, 16, 16)
     with pytest.raises(ValueError):
-        GridSpec(2, 16, 16, 16, radial_rule="simpson")
-    with pytest.raises(ValueError):
         GridSpec(2, 16, 16, 16, t_rule="uniform")
     with pytest.raises(ValueError, match="even angular"):
         GridSpec(2, 15, 16, 16)
@@ -150,17 +148,6 @@ def test_chebyshev_t_weights_native(n_t):
     # the Gauss-Chebyshev weights are exactly pi / n_t
     g = make_grid(GridSpec(2, 8, 8, n_t))
     assert np.array_equal(g.t_weights(-0.5), np.full(n_t, np.pi / n_t))
-
-
-def test_uniform_radial_rule_converges():
-    # midpoint rule: second-order error on the weighted mass int (1-r^2)^(1/2) r dr
-    ref = 1.0 / 3.0
-    errs = []
-    for R in (64, 256):
-        g = make_grid(GridSpec(2, 8, R, 8, radial_rule="uniform"))
-        errs.append(abs(np.sum(g.radial_weights(0.5)) - ref))
-    assert errs[1] < errs[0] / 4
-    assert errs[1] < 1e-4
 
 
 def test_weight_domain_errors(grid):

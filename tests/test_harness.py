@@ -289,10 +289,9 @@ def test_vsl_roundtrip_sphere(tmp_path):
     assert back.grid.spec == SPEC3
 
 
-@pytest.mark.parametrize("radial_rule", ["gauss_jacobi", "uniform"])
 @pytest.mark.parametrize("t_rule", ["chebyshev", "gauss_legendre"])
-def test_vsl_roundtrip_rules(tmp_path, radial_rule, t_rule):
-    spec = GridSpec(2, 16, 8, 16, radial_rule=radial_rule, t_rule=t_rule)
+def test_vsl_roundtrip_rules(tmp_path, t_rule):
+    spec = GridSpec(2, 16, 8, 16, t_rule=t_rule)
     g = make_grid(spec)
     F = SliceData(g, np.random.default_rng(4).standard_normal((16, 16)), 0.5)
     path = tmp_path / "rules.vsl"
@@ -329,6 +328,33 @@ def test_vsl_rejects_garbage(tmp_path):
         read_vsl(long)
     with pytest.raises(TypeError):
         write_vsl(tmp_path / "x.vsl", np.zeros(4))
+
+
+def test_vsl_rejects_radial_rule_code(tmp_path):
+    # the header keeps its radial-rule slot; Gauss-Jacobi (0) is the only rule
+    g = make_grid(SPEC2)
+    good = tmp_path / "good.vsl"
+    write_vsl(good, SliceData(g, np.ones((g.n_ang_total, g.spec.n_t)), 0.5))
+    raw = bytearray(good.read_bytes())
+    at = 16 + struct.calcsize("<IdII") + struct.calcsize("<II")
+    assert struct.unpack_from("<I", raw, at) == (0,)
+    struct.pack_into("<I", raw, at, 1)
+    bad = tmp_path / "radial.vsl"
+    bad.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="radial rule code 1"):
+        read_vsl(bad)
+
+
+@pytest.mark.parametrize("size", [12, 30, 50])
+def test_vsl_rejects_truncated_header(tmp_path, size):
+    # cut inside each of the three header blocks
+    g = make_grid(SPEC2)
+    good = tmp_path / "good.vsl"
+    write_vsl(good, SliceData(g, np.ones((g.n_ang_total, g.spec.n_t)), 0.5))
+    cut = tmp_path / "cut.vsl"
+    cut.write_bytes(good.read_bytes()[:size])
+    with pytest.raises(ValueError, match="truncated"):
+        read_vsl(cut)
 
 
 def test_vsl_rejects_nonfinite_exponent(tmp_path):

@@ -6,9 +6,11 @@ import pytest
 from vslice import GridSpec, make_grid, vslice_forward
 from vslice.grid import SliceData
 from vslice.harness import Phantom, compare, make_phantom
+from vslice.invert_hs import invert_hypersingular
 from vslice.invert_john import invert_even, invert_john, invert_odd
+from vslice.invert_svd import sphere_basis_grid, svd_index_set
 from vslice.specfun import method_constants, sphere_area
-from vslice.xform import _filter_table
+from vslice.xform import _log_filter_matrix
 
 SPEC2 = GridSpec(2, 128, 48, 64)
 SPEC3 = GridSpec(3, 16, 24, 32)
@@ -99,22 +101,56 @@ def test_even_rotational_equivariance(round2):
         assert np.max(np.abs(rec_rot.values - want)) < 1e-10 * scale
 
 
-def test_even_fold_exact_on_odd_data():
-    # random data have an odd part; folding antipodal pairs must still equal
-    # the sum over every direction of the per-direction filtered profiles
+def test_even_kernel_equals_direction_sum():
+    # the harmonic kernel samples the log filter at the grid's own circle
+    # angles, so its mode sum is the trapezoid sum over every direction of
+    # the filtered profiles at theta_i . x, up to rounding
     g = make_grid(GridSpec(2, 64, 16, 32))
     rng = np.random.default_rng(12)
     F = SliceData(g, rng.normal(size=(g.n_ang_total, 32)), 0.5)
-    plane = SliceData(g, F.smooth, 0.0)
-    s, M = _filter_table(g, 0.0)
-    table = plane.values @ M.T
+    plane = SliceData(g, F.smooth, 0.0).values
     pts = g.ball_points
     want = sum(
-        g.ang_weight[i] * np.interp(pts @ g.ang[i], s, table[i]) for i in range(g.n_ang_total)
+        g.ang_weight[i]
+        * (_log_filter_matrix(g.t, (pts @ g.ang[i]).ravel()) @ plane[i]).reshape(pts.shape[:-1])
+        for i in range(g.n_ang_total)
     )
     want *= method_constants(2).c_hat_n / sphere_area(2)
     got = invert_even(F).smooth
-    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    assert np.max(np.abs(got - want)) <= 1e-8 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize(
+    "spec, invert",
+    [
+        (GridSpec(2, 64, 16, 32), invert_even),
+        (GridSpec(2, 64, 16, 32), invert_hypersingular),
+        (GridSpec(3, 8, 12, 16), invert_odd),
+    ],
+)
+def test_odd_part_cancels(spec, invert):
+    # F(theta, t) - F(-theta, -t) cancels between theta and -theta in every
+    # backprojection; the harmonic kernel's parity makes it cancel mode by mode
+    g = make_grid(spec)
+    rng = np.random.default_rng(13)
+    smooth = rng.normal(size=(g.n_ang_total, spec.n_t))
+    odd = 0.5 * (smooth - smooth[g.antipodal_index][:, ::-1])
+    full = invert(SliceData(g, smooth, 0.5)).smooth
+    rec = invert(SliceData(g, odd, 0.5)).smooth
+    assert np.max(np.abs(rec)) <= 1e-13 * np.max(np.abs(full))
+
+
+def test_odd_inverts_basis_exactly():
+    # john o V = I on every band-6 singular basis function at n = 3: the
+    # forward is exact on them, the plane filter is exact on its output, and
+    # the harmonic kernel's Gauss-Legendre rule is exact on the degrees the
+    # grid resolves
+    g = make_grid(SPEC3)
+    for nu in svd_index_set(3, 6):
+        eta = sphere_basis_grid(nu, 1.5, g)
+        rec = invert_odd(vslice_forward(eta))
+        scale = np.max(np.abs(eta.values))
+        assert np.max(np.abs(rec.values - eta.values)) <= 1e-11 * scale, nu
 
 
 def test_even_convergence_three_levels():

@@ -25,14 +25,19 @@ from vslice import (
     vslice_direct,
     vslice_forward,
 )
+from vslice.invert_hs import _annulus_kernel
 from vslice.specfun import sphere_area
 from vslice.xform import (
     _QUADRATURE_POINTS,
     _ball_rule,
+    _filter_kernel,
     _frames,
+    _funk_hecke_rule,
+    _jacobi_rule,
     _log_filter_matrix,
     _log_moment_matrix,
     _plane_filter_matrix,
+    _sh_basis,
     _slice_quadrature,
 )
 
@@ -216,23 +221,6 @@ def test_forward_sampled_matches_evaluator_n3(g3):
     Fs = vslice_forward(SphereFunction(g3, f.smooth))
     Fe = vslice_forward(f)
     assert np.max(np.abs(Fs.values - Fe.values)) < 1e-10
-
-
-@pytest.mark.parametrize(
-    "spec",
-    [GridSpec(2, 16, 8, 16, radial_rule="uniform"), GridSpec(3, 8, 12, 16, radial_rule="uniform")],
-)
-def test_sampled_forward_rejects_uniform_radial_rule(spec):
-    # the radial interpolation of the spectral path extrapolates past the
-    # last midpoint node toward u = 1, where its weights overflow; the slice
-    # quadrature through an evaluator does not interpolate and still works
-    g = make_grid(spec)
-    one = SphereFunction.from_function(g, lambda p: np.ones(np.asarray(p).shape[:-1]))
-    with pytest.raises(ValueError, match="uniform"):
-        vslice_forward(SphereFunction(g, one.smooth))
-    F = vslice_forward(one)
-    want = math.pi * np.sqrt(1 - g.t**2) if spec.n == 2 else 2.0 * math.pi * (1 - g.t**2)
-    assert np.max(np.abs(F.values - want[None, :])) < 1e-13 * np.max(want)
 
 
 def test_forward_evenness(g2, g3, bump2, bump3):
@@ -479,6 +467,24 @@ def test_plane_filter_closed_form(rule):
     got = _plane_filter_matrix(g.t, s, 1.0) @ h(g.t)
     want = -h.deriv(2)(s)
     assert np.max(np.abs(got - want)) < 1e-10 * np.max(np.abs(want))
+
+
+def test_cached_arrays_are_read_only():
+    # cached rules and kernels are shared by every caller of their cache
+    small2 = make_grid(GridSpec(2, 16, 8, 16))
+    small3 = make_grid(GridSpec(3, 8, 12, 16))
+    cached = [
+        *_jacobi_rule(8, 0.5, 0.5),
+        *_sh_basis(small3, 7),
+        *_funk_hecke_rule(small2),
+        *_funk_hecke_rule(small3),
+        _filter_kernel(small2, 0.0),
+        _filter_kernel(small3, 0.5),
+        _annulus_kernel(small2, 0.1, 4.0, True),
+    ]
+    for a in cached:
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = 1.0
 
 
 def test_log_kernel_identity():
