@@ -152,6 +152,11 @@ class Grid:
             t, _ = roots_legendre(M)
         self.t = _symmetrize(t)
 
+        # every kernel cache is keyed on the memoized grid, so its nodes are fixed
+        for a in vars(self).values():
+            if isinstance(a, np.ndarray):
+                a.setflags(write=False)
+
         self._radial_w = {}
         self._t_w = {}
         self._bfac = {}
@@ -289,7 +294,7 @@ class _ChartFunction:
     """Shared behaviour of the three sampled-function containers."""
 
     def __init__(self, grid, smooth, boundary_exponent=0.0, evaluator=None):
-        # stored read-only, so the memoized spectral and spline tables built
+        # stored read-only, so the memoized spline table `dual_radon` builds
         # from it cannot go stale; a read-only float array is shared as is
         smooth = np.asarray(smooth, dtype=float)
         if smooth.flags.writeable:
@@ -343,9 +348,9 @@ class _BallChart(_ChartFunction):
     `evaluator`, when present, maps arbitrary chart points of shape (..., n)
     to the smooth part; the forward map then runs its slice quadrature on
     it, and `spherical_mean` and `vslice_direct` require one.  Without an
-    evaluator the forward map takes its spectral path from the samples,
-    which is exact for band-limited samples (singular basis functions among
-    them).
+    evaluator the forward map applies its per-degree harmonic kernel to the
+    samples, which is exact for band-limited samples (singular basis
+    functions among them).
     """
 
     @staticmethod

@@ -29,7 +29,7 @@ from scipy.special import j0, roots_legendre
 from .grid import BallFunction, project
 from .invert_john import _plane_data
 from .specfun import method_constants
-from .xform import _filtered_backprojection, _kernel_offsets, _node_spline, _radial_kernel
+from .xform import _harmonic_apply, _kernel_offsets, _node_spline, _radial_kernel
 
 DEFAULT_EPS = 4.0 * 1.3 / 383  # 0.01358, the inner radius the hs figures are quoted at
 PANEL_NODES = 8  # Gauss-Legendre nodes per geometric radial panel
@@ -129,4 +129,4 @@ def invert_hypersingular(F, eps=None, r_max=4.0, tail_correction=True):
     phi = _plane_data(F)
     K = _annulus_kernel(grid, float(eps), float(r_max), bool(tail_correction))
     c = method_constants(2, ell=1).hs_constant
-    return project(BallFunction(grid, c * _filtered_backprojection(phi, K)))
+    return project(BallFunction(grid, c * _harmonic_apply(grid, phi.values, K)))

@@ -15,7 +15,7 @@ import numpy as np
 
 from .grid import BallFunction, SliceData, project
 from .specfun import method_constants
-from .xform import _filter_kernel, _filtered_backprojection
+from .xform import _filter_kernel, _harmonic_apply
 
 
 def _plane_data(F):
@@ -30,8 +30,10 @@ def _plane_data(F):
 def _reconstruct(F, constant):
     """constant * (filtered backprojection of the plane data), on the sphere."""
     G = _plane_data(F)
-    smooth = constant * _filtered_backprojection(G, _filter_kernel(G.grid, G.boundary_exponent))
-    return project(BallFunction(F.grid, smooth))
+    grid = G.grid
+    exponent = G.boundary_exponent if grid.spec.n == 3 else None
+    smooth = constant * _harmonic_apply(grid, G.values, _filter_kernel(grid, exponent))
+    return project(BallFunction(grid, smooth))
 
 
 def invert_odd(F):

@@ -6,20 +6,17 @@ harmonics times Jacobi polynomials in |x'|^2) onto a matching orthonormal
 family on the slice cylinder (spherical harmonics times Gegenbauer
 polynomials in t), scaling member nu by the singular value s_nu.  Expanding
 slice data in the cylinder family and dividing by s_nu therefore inverts the
-transform on any fixed band of indices.
+transform on any fixed band of indices.  On a grid, every member is a column
+of the cached harmonic table `xform._sh_basis` times a radial or t profile,
+so each expansion is one harmonic analysis of the whole array and each sum
+one synthesis.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import (
-    SliceData,
-    SphereFunction,
-    inner_product_ball,
-    inner_product_slices,
-    lift,
-)
+from .grid import SliceData, SphereFunction
 from .specfun import (
     SvdIndex,
     gegenbauer_poly,
@@ -28,6 +25,7 @@ from .specfun import (
     sph_harm,
     svd_constants,
 )
+from .xform import _sh_basis
 
 
 def svd_index_set(n, band):
@@ -40,6 +38,22 @@ def svd_index_set(n, band):
             for mu in range(1, harmonic_dim(n, m) + 1):
                 out.append(SvdIndex(m, mu, k))
     return out
+
+
+def _sphere_profile(nu, lam, n, u):
+    """c_nu r^m P_k(2u - 1) at u = r^2, the radial factor of the sphere-side
+    member nu's smooth part (the other factor is Y_{m,mu})."""
+    m, _, k = nu
+    c = svd_constants(n, lam, nu).c_nu
+    p = jacobi_poly(k, lam - n / 2.0, m + n / 2.0 - 1.0, 2.0 * u - 1.0)
+    return c * np.sqrt(u) ** m * p
+
+
+def _slice_profile(nu, lam, n, t):
+    """d_nu C_{m+2k}(t), the t factor of the cylinder-side member nu's smooth
+    part (the other factor is Y_{m,mu})."""
+    m, _, k = nu
+    return svd_constants(n, lam, nu).d_nu * gegenbauer_poly(m + 2 * k, lam, t)
 
 
 def _split_point(x):
@@ -58,25 +72,18 @@ def sphere_singular_function(nu, lam, x):
     c_nu |x'|^m (1-|x'|^2)^(lam-n/2) P_k(2|x'|^2-1) Y_{m,mu}(x'/|x'|).
     """
     xp, xl, n = _split_point(x)
-    c = svd_constants(n, lam, nu).c_nu
     u = np.sum(xp * xp, axis=-1)
-    smooth = _eta_smooth_at(nu, lam, n, xp, u, c)
+    smooth = _eta_smooth_at(nu, lam, n, xp, u)
     with np.errstate(divide="ignore"):
         out = xl * (1.0 - u) ** (lam - n / 2.0) * smooth
     return out if np.ndim(out) else float(out)
 
 
-def _eta_smooth_at(nu, lam, n, xp, u, c):
-    """Smooth factor c r^m P_k(2u-1) Y at chart points (r^m Y is a polynomial)."""
-    m, mu, k = nu
-    p = jacobi_poly(k, lam - n / 2.0, m + n / 2.0 - 1.0, 2.0 * u - 1.0)
-    if m == 0:
-        ang = sph_harm(n, 0, 1, np.ones_like(xp) / np.sqrt(float(n)))
-        return c * p * ang
+def _eta_smooth_at(nu, lam, n, xp, u):
+    """Smooth factor c r^m P_k(2u-1) Y at chart points xp with u = |xp|^2."""
     r = np.sqrt(u)
     safe = np.where(r > 0, r, 1.0)
-    ang = sph_harm(n, m, mu, xp / safe[..., None])
-    return c * p * np.where(r > 0, r**m * ang, 0.0)
+    return _sphere_profile(nu, lam, n, u) * sph_harm(n, nu[0], nu[1], xp / safe[..., None])
 
 
 def slice_singular_function(nu, lam, theta, t):
@@ -85,41 +92,59 @@ def slice_singular_function(nu, lam, theta, t):
     n = th.shape[-1]
     if n not in (2, 3):
         raise ValueError("theta must have 2 or 3 components")
-    m, mu, k = nu
-    d = svd_constants(n, lam, nu).d_nu
     t = np.asarray(t, dtype=float)
-    poly = gegenbauer_poly(m + 2 * k, lam, t)
-    out = d * (1.0 - t * t) ** lam * poly * sph_harm(n, m, mu, th)
+    out = (1.0 - t * t) ** lam * _slice_profile(nu, lam, n, t) * sph_harm(n, nu[0], nu[1], th)
     return out if np.ndim(out) else float(out)
+
+
+def _columns(grid, indices):
+    """The columns of the harmonic table `_sh_basis` for the indices' Y_{m,mu},
+    shape (n_ang_total, len(indices)); degrees past the table are rejected."""
+    Y, degs = _sh_basis(grid)
+    cols = []
+    for m, mu, _ in indices:
+        if m > degs[-1]:
+            raise ValueError(f"index degree m = {m} exceeds {degs[-1]}, the most the grid resolves")
+        if not 1 <= mu <= harmonic_dim(grid.spec.n, m):
+            raise ValueError(f"harmonic index mu = {mu} out of range for degree m = {m}")
+        cols.append(np.searchsorted(degs, m) + mu - 1)
+    return Y[:, cols]
+
+
+def _profiles(profile, indices, lam, n, x):
+    """`profile` of each index at the nodes x, shape (len(indices), x.size)."""
+    return np.reshape([profile(nu, lam, n, x) for nu in indices], (len(indices), x.size))
+
+
+def _analysis(grid, smooth, indices, profiles, w):
+    """Per index, sum_{a,i} ang_weight_a Y_nu(theta_a) smooth[a, i] profile_nu[i] w_i:
+    one harmonic analysis of the samples, then each member's profile."""
+    coef = (_columns(grid, indices) * grid.ang_weight[:, None]).T @ smooth
+    return np.einsum("ni,ni,i->n", coef, profiles, w)
+
+
+def _synthesis(grid, indices, amplitudes, profiles):
+    """Samples of sum_nu amplitude_nu Y_nu profile_nu: one harmonic synthesis."""
+    return _columns(grid, indices) @ (np.asarray(amplitudes, dtype=float)[:, None] * profiles)
 
 
 def sphere_basis_grid(nu, lam, grid):
     """Hemisphere singular function sampled on a grid, exact boundary exponent.
 
-    Samples only, with no evaluator, so `vslice_forward` takes the spectral
+    Samples only, with no evaluator, so `vslice_forward` takes the harmonic
     path.  That path is exact on these samples when the grid resolves the
-    index: m < n_angular / 2 at n = 2, m < n_angular (the polar count) at
-    n = 3, and m // 2 + k < n_radial.
-    `make_phantom` enforces that condition; the inner products of
-    `sphere_coefficients` and `synthesize_sphere` need the point samples only.
+    index: m < n_angular / 2 at n = 2 and m < n_angular (the polar count) at
+    n = 3, which the harmonic table enforces, and m // 2 + k < n_radial,
+    which `make_phantom` enforces.
     """
-    n = grid.spec.n
-    c = svd_constants(n, lam, nu).c_nu
-    m, mu, k = nu
-    p = jacobi_poly(k, lam - n / 2.0, m + n / 2.0 - 1.0, 2.0 * grid.u - 1.0)
-    ang = sph_harm(n, m, mu, grid.ang)
-    smooth = np.outer(ang, c * grid.r**m * p)
-    return SphereFunction(grid, smooth, lam - n / 2.0 + 0.5)
+    return synthesize_sphere(SpectralCoeffs(lam, [SvdIndex(*nu)], [1.0]), grid)
 
 
 def slice_basis_grid(nu, lam, grid):
     """Cylinder singular function sampled on a grid, exact boundary exponent."""
-    n = grid.spec.n
-    d = svd_constants(n, lam, nu).d_nu
-    m, mu, k = nu
-    poly = gegenbauer_poly(m + 2 * k, lam, grid.t)
-    ang = sph_harm(n, m, mu, grid.ang)
-    return SliceData(grid, np.outer(ang, d * poly), lam)
+    nu = SvdIndex(*nu)
+    profiles = _profiles(_slice_profile, [nu], lam, grid.spec.n, grid.t)
+    return SliceData(grid, _synthesis(grid, [nu], [1.0], profiles), lam)
 
 
 @dataclass
@@ -147,6 +172,9 @@ class SpectralCoeffs:
 
 
 def _check_band(grid, band):
+    """Reject bands the grid cannot expand over exactly: the t rule needs
+    m + 2k <= (n_t - 2) // 2, and the angular quadrature m up to the
+    degree of `_sh_basis`, past which it aliases one harmonic onto another."""
     if band < 0:
         raise ValueError("band must be >= 0")
     limit = (grid.spec.n_t - 2) // 2
@@ -154,6 +182,9 @@ def _check_band(grid, band):
         raise ValueError(
             f"band {band} too high for {grid.spec.n_t} t-nodes (max {limit})"
         )
+    lmax = _sh_basis(grid)[1][-1]
+    if band > lmax:
+        raise ValueError(f"band {band} too high for the angular grid (max {lmax})")
 
 
 def analyze(F, lam=None, band=8):
@@ -166,12 +197,10 @@ def analyze(F, lam=None, band=8):
         lam = n / 2.0
     _check_band(grid, band)
     indices = svd_index_set(n, band)
-    coeffs = np.array(
-        [
-            inner_product_slices(F, slice_basis_grid(nu, lam, grid), "w_tilde", lam)
-            for nu in indices
-        ]
-    )
+    # against the weight (1-t^2)^(-1/2-lam) and the members' (1-t^2)^lam
+    w = grid.t_weights(F.boundary_exponent - 0.5)
+    profiles = _profiles(_slice_profile, indices, lam, n, grid.t)
+    coeffs = _analysis(grid, F.smooth, indices, profiles, w)
     return SpectralCoeffs(lam, indices, coeffs, band)
 
 
@@ -184,39 +213,29 @@ def sphere_coefficients(f, lam=None, band=8):
     if lam is None:
         lam = n / 2.0
     _check_band(grid, band)
-    phi = lift(f)
     indices = svd_index_set(n, band)
-    coeffs = np.array(
-        [
-            inner_product_ball(phi, lift(sphere_basis_grid(nu, lam, grid)), lam)
-            for nu in indices
-        ]
-    )
+    # the lifts against (1-|x'|^2)^(n/2-lam): the members carry (1-|x'|^2)^(lam-n/2)
+    w = grid.radial_weights(f.boundary_exponent - 0.5)
+    profiles = _profiles(_sphere_profile, indices, lam, n, grid.u)
+    coeffs = _analysis(grid, f.smooth, indices, profiles, w)
     return SpectralCoeffs(lam, indices, coeffs, band)
 
 
 def synthesize_forward(coeffs, grid):
     """Slice data of the function with the given coefficients: sum of
     s_nu * f_nu * (cylinder singular function)."""
-    n = grid.spec.n
-    smooth = np.zeros((grid.n_ang_total, grid.spec.n_t))
-    for nu, f_nu in zip(coeffs.indices, coeffs.coeffs):
-        if f_nu == 0.0:
-            continue
-        s = svd_constants(n, coeffs.lam, nu).s_nu
-        smooth += (s * f_nu) * slice_basis_grid(nu, coeffs.lam, grid).smooth
-    return SliceData(grid, smooth, coeffs.lam)
+    n, lam, indices = grid.spec.n, coeffs.lam, coeffs.indices
+    s = np.array([svd_constants(n, lam, nu).s_nu for nu in indices])
+    profiles = _profiles(_slice_profile, indices, lam, n, grid.t)
+    return SliceData(grid, _synthesis(grid, indices, s * coeffs.coeffs, profiles), lam)
 
 
 def synthesize_sphere(coeffs, grid):
     """Hemisphere function with the given coefficients in the sphere family."""
-    n = grid.spec.n
-    smooth = np.zeros((grid.n_ang_total, grid.spec.n_radial))
-    for nu, f_nu in zip(coeffs.indices, coeffs.coeffs):
-        if f_nu == 0.0:
-            continue
-        smooth += f_nu * sphere_basis_grid(nu, coeffs.lam, grid).smooth
-    return SphereFunction(grid, smooth, coeffs.lam - n / 2.0 + 0.5)
+    n, lam, indices = grid.spec.n, coeffs.lam, coeffs.indices
+    profiles = _profiles(_sphere_profile, indices, lam, n, grid.u)
+    smooth = _synthesis(grid, indices, coeffs.coeffs, profiles)
+    return SphereFunction(grid, smooth, lam - n / 2.0 + 0.5)
 
 
 def reconstruct(F, lam=None, band=8, force=False, s_floor_ratio=1e-6):
@@ -227,24 +246,15 @@ def reconstruct(F, lam=None, band=8, force=False, s_floor_ratio=1e-6):
     s_floor_ratio times the largest singular value are rejected unless
     force=True.
     """
-    if not isinstance(F, SliceData):
-        raise TypeError("reconstruct expects SliceData")
-    grid = F.grid
-    n = grid.spec.n
-    if lam is None:
-        lam = n / 2.0
-    _check_band(grid, band)
-    indices = svd_index_set(n, band)
-    svals = np.array([svd_constants(n, lam, nu).s_nu for nu in indices])
-    floor = s_floor_ratio * svals.max()
-    if not force and svals.min() < floor:
+    spec = analyze(F, lam, band)
+    svals = np.array([svd_constants(F.grid.spec.n, spec.lam, nu).s_nu for nu in spec.indices])
+    if not force and svals.min() < s_floor_ratio * svals.max():
         raise ValueError(
             "smallest singular value on the band is below the stability floor; "
             "lower the band or pass force=True"
         )
-    spec = analyze(F, lam, band)
-    inverted = SpectralCoeffs(lam, indices, spec.coeffs / svals, band)
-    return synthesize_sphere(inverted, grid)
+    inverted = SpectralCoeffs(spec.lam, spec.indices, spec.coeffs / svals, band)
+    return synthesize_sphere(inverted, F.grid)
 
 
 def svd_table(n, lam, band):

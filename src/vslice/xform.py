@@ -11,18 +11,20 @@ nodes of `_ball_rule`), which also serves spherical means; the forward runs
 it over one direction per antipodal pair and fills the partner by evenness.
 It calls the evaluator once per offset and chunk of directions, so each call
 sees a bounded number of points however many directions the grid has.
-Sampled functions, singular basis functions among them, take spectral
-paths: angular Fourier modes (n = 2) or spherical harmonics (n = 3) of the
-samples, interpolated radially in u = r^2, exact for band-limited samples
-the grid resolves.  ``vslice_direct`` quadratures the slice integral from
-scratch in a different chart and serves as the independent oracle.
+Sampled functions, singular basis functions among them, take the harmonic
+layer instead.  By Funk-Hecke the forward and the backprojection of
+t-filtered profiles are diagonal in the angular harmonics, so each is one
+radial matrix per harmonic degree, which `_harmonic_apply` applies between
+one harmonic analysis and one synthesis.  The forward's matrix
+(`_forward_kernel`) folds the chord (n = 2) or disk (n = 3) quadrature and
+the radial interpolation in u = r^2; it is exact for band-limited samples the
+grid resolves.  ``vslice_direct`` quadratures the slice integral from scratch
+in a different chart and serves as the independent oracle.
 
 Also here: the dual (backprojection) operator `dual_radon`, the spatial
-oracle, and the harmonic kernel every filtered route shares.  By Funk-Hecke
-the backprojection of t-filtered profiles is diagonal in the angular
-harmonics, so each t-filter becomes one radial matrix per harmonic degree:
-`john` and `ac` pass -d^2/dt^2 (after a log convolution when n = 2), `hs`
-its annulus multiplier.
+oracle, and the t-filter kernels of the filtered routes: `john` and `ac`
+pass -d^2/dt^2 (after a log convolution when n = 2), `hs` its annulus
+multiplier.
 """
 
 import math
@@ -89,56 +91,57 @@ def _barycentric_matrix(nodes, query):
     return np.where(exact[:, None], hit.astype(float), c / denom[:, None])
 
 
-# -- spectral representations of sampled smooth parts ------------------------
-
-
-def _fourier_rep(f):
-    # angular rFFT modes of the smooth samples, odd modes divided by r so the
-    # radial profiles are smooth functions of u = r^2 (parity of circular
-    # harmonics: mode m behaves like r^(m mod 2) times an even profile)
-    rep = getattr(f, "_fourier_modes", None)
-    if rep is None:
-        modes = np.fft.rfft(f.smooth, axis=0)
-        scaled = modes.copy()
-        scaled[1::2] /= f.grid.r[None, :]
-        rep = scaled
-        f._fourier_modes = rep
-    return rep
-
-
-def _modes_at_radii(f, rho):
-    """All angular-mode values g_m(rho), parity-aware interpolation in u."""
-    scaled = _fourier_rep(f)
-    B = _barycentric_matrix(f.grid.u, rho * rho)
-    out = scaled @ B.T
-    out[1::2] *= rho[None, :]
-    return out
+# -- the harmonic layer ---------------------------------------------------------
 
 
 @lru_cache(maxsize=8)
-def _sh_basis(grid, lmax):
+def _sh_basis(grid):
     """Real spherical harmonics on the angular nodes, (A, n_lm), and their
-    ascending degrees; both read-only."""
-    nus = [(l, mu) for l in range(lmax + 1) for mu in range(1, harmonic_dim(3, l) + 1)]
-    Y = np.stack([sph_harm(3, l, mu, grid.ang) for l, mu in nus], axis=1)
+    ascending degrees, both read-only.  The degrees run to n_angular/2 - 1 at
+    n = 2 and n_polar - 1 at n = 3, the band on which the grid's quadrature
+    analyses exactly (a product of two such harmonics stays within its
+    degree of exactness)."""
+    n = grid.spec.n
+    lmax = grid.n_ang_total // 2 - 1 if n == 2 else grid.n_polar - 1
+    nus = [(l, mu) for l in range(lmax + 1) for mu in range(1, harmonic_dim(n, l) + 1)]
+    Y = np.stack([sph_harm(n, l, mu, grid.ang) for l, mu in nus], axis=1)
     degs = np.array([l for l, _ in nus])
     Y.setflags(write=False)
     degs.setflags(write=False)
     return Y, degs
 
 
-def _sh_rep(f):
-    # spherical-harmonic analysis of the smooth samples; exact for angular
-    # band <= n_polar - 1 by Gauss-Legendre x trapezoid exactness
-    rep = getattr(f, "_sh_modes", None)
-    if rep is None:
-        grid = f.grid
-        Y, degs = _sh_basis(grid, grid.n_polar - 1)
-        coef = (Y * grid.ang_weight[:, None]).T @ f.smooth
-        coef[degs % 2 == 1] /= grid.r[None, :]
-        rep = (coef, degs)
-        f._sh_modes = rep
-    return rep
+def _legendre_table(lmax, x):
+    P = np.empty((lmax + 1,) + x.shape)
+    P[0] = 1.0
+    if lmax >= 1:
+        P[1] = x
+    for l in range(1, lmax):
+        P[l + 1] = ((2 * l + 1) * x * P[l] - l * P[l - 1]) / (l + 1)
+    return P
+
+
+def _harmonic_apply(grid, values, K):
+    """Apply K[l], a matrix per angular harmonic degree l, to the harmonics of
+    `values` (n_ang_total, K.shape[2]); returns (n_ang_total, K.shape[1]).
+
+    The package's one angular operator: analysis (an rFFT over angles at
+    n = 2, K then having A/2 + 1 degrees; `_sh_basis` at n = 3), K per
+    degree, synthesis.  The sampled forward passes `_forward_kernel`; `john`
+    and `ac` pass `_filter_kernel`, since -Delta R*g = R*(-g''); `hs` passes
+    its annulus kernel.
+    """
+    if grid.spec.n == 2:
+        modes = np.fft.rfft(values, axis=0)
+        out = K @ np.stack([modes.real, modes.imag], axis=-1)
+        return np.fft.irfft(out[..., 0] + 1j * out[..., 1], n=grid.n_ang_total, axis=0)
+    Y, degs = _sh_basis(grid)
+    coef = (Y * grid.ang_weight[:, None]).T @ values
+    out = np.empty((coef.shape[0], K.shape[1]))
+    for l, Kl in enumerate(K):
+        rows = degs == l
+        out[rows] = coef[rows] @ Kl.T
+    return Y @ out
 
 
 def _frames(theta):
@@ -221,56 +224,45 @@ def _slice_quadrature(f, theta, t):
     return out
 
 
-def _forward_2(f, Q):
-    # angular Fourier modes of the samples, interpolated radially along each chord
-    grid = f.grid
-    e = f.boundary_exponent
-    tau, wq = _jacobi_rule(Q, e - 0.5, e - 0.5)
-    t = grid.t
-    r = np.sqrt(1.0 - t * t)
-    A = grid.n_ang_total
-    m = np.arange(A // 2 + 1)
-    out = np.empty((A, t.size))
-    for j, tj in enumerate(t):
-        rho = np.sqrt(tj * tj + (1.0 - tj * tj) * tau * tau)
-        gm = _modes_at_radii(f, rho)
-        delta = np.arctan2(r[j] * tau, tj)
-        vals = np.fft.irfft(gm * np.exp(1j * m[:, None] * delta[None, :]), n=A, axis=0)
-        out[:, j] = vals @ wq
-    return SliceData(grid, out, e + 0.5)
+@lru_cache(maxsize=8)
+def _forward_kernel(grid, exponent):
+    """The radial kernel of the sampled forward, read-only: K[l, j, i] maps the
+    samples at the radial nodes of a degree-l harmonic's profile, for smooth
+    parts with boundary exponent `exponent`, to its slice integral at t_j.
 
-
-def _legendre_table(lmax, x):
-    P = np.empty((lmax + 1,) + x.shape)
-    P[0] = 1.0
-    if lmax >= 1:
-        P[1] = x
-    for l in range(1, lmax):
-        P[l + 1] = ((2 * l + 1) * x * P[l] - l * P[l - 1]) / (l + 1)
-    return P
-
-
-def _forward_sh_3(f, K):
-    # mode-by-mode plane-section kernel: for phi = g_l(r) Y_l(x/r) the Radon
-    # transform over {x . theta = t} is 2 pi Y_l(theta) int_|t|^1 g_l P_l(t/r) r dr
-    grid = f.grid
-    e = f.boundary_exponent
-    lmax = grid.n_polar - 1
-    Y, degs = _sh_basis(grid, lmax)
-    coef, _ = _sh_rep(f)
+    The profile is r^(l mod 2) times a polynomial in u = r^2, so the samples
+    over r^(l mod 2) are interpolated in u (`_barycentric_matrix`) at each
+    quadrature radius rho_q and multiplied back by rho_q^(l mod 2).  n = 2:
+    the chord rule of `_ball_rule`, whose node tau_q lies at angle
+    delta_q = atan2(sqrt(1 - t^2) tau_q, t) off the direction, so degree m
+    picks up cos(m delta_q); the nodes are symmetric and the sine part
+    cancels.  n = 3: Funk-Hecke over the circles of the disk at offset t,
+    pi P_l(t / rho_q) against Gauss-Jacobi nodes in 1 - rho^2.  Exact for
+    band-limited samples the grid resolves.
+    """
+    n = grid.spec.n
+    if n == 2:
+        tau, w = _jacobi_rule(CHORD_NODES_N2, exponent - 0.5, exponent - 0.5)
+        degs = np.arange(grid.n_ang_total // 2 + 1)
+    else:
+        x, w = _jacobi_rule(DISK_NODES_N3, 0.0, exponent - 0.5)
+        v = (x + 1.0) / 2.0
+        w = math.pi * 2.0 ** (-(exponent + 0.5)) * w
+        degs = np.arange(grid.n_polar)
     odd = degs % 2 == 1
-    xg, wg = _jacobi_rule(K, 0.0, e - 0.5)
-    v = (xg + 1.0) / 2.0
-    wv = wg * 2.0 ** (-(e + 0.5))
-    tbl = np.empty((Y.shape[1], grid.spec.n_t))
+    K = np.empty((degs.size, grid.spec.n_t, grid.spec.n_radial))
     for j, tj in enumerate(grid.t):
-        r2 = 1.0 - (1.0 - tj * tj) * v
-        rq = np.sqrt(r2)
-        G = coef @ _barycentric_matrix(grid.u, r2).T
-        G[odd] *= rq[None, :]
-        P = _legendre_table(lmax, tj / rq)
-        tbl[:, j] = math.pi * ((G * P[degs]) @ wv)
-    return SliceData(grid, Y @ tbl, e + 1.0)
+        if n == 2:
+            rho2 = tj * tj + (1.0 - tj * tj) * tau * tau
+            ang = np.cos(np.outer(degs, np.arctan2(math.sqrt(1.0 - tj * tj) * tau, tj)))
+        else:
+            rho2 = 1.0 - (1.0 - tj * tj) * v
+            ang = _legendre_table(degs[-1], tj / np.sqrt(rho2))
+        ang[odd] *= np.sqrt(rho2)
+        K[:, j] = (ang * w) @ _barycentric_matrix(grid.u, rho2)
+    K[odd] /= grid.r
+    K.setflags(write=False)
+    return K
 
 
 def vslice_forward(f):
@@ -280,25 +272,23 @@ def vslice_forward(f):
     With an evaluator, the slice quadrature of `_slice_quadrature` runs over
     one direction per antipodal pair, and the partner gets the profile
     reversed in t: f is even, so F(-theta, -t) = F(theta, t) exactly.
-    Sampled functions take the spectral paths (angular Fourier modes for
-    n = 2, spherical harmonics for n = 3), which are exact for band-limited
-    samples the grid resolves.  The stored boundary exponent rises by
-    (n-1)/2, which is exact.
+    Sampled functions go through `_harmonic_apply` with `_forward_kernel`,
+    exact for band-limited samples the grid resolves.  The stored boundary
+    exponent rises by (n-1)/2, which is exact.
     """
     if not isinstance(f, SphereFunction):
         raise TypeError("vslice_forward expects a SphereFunction")
-    n = f.spec.n
-    if f.evaluator is None:
-        if n == 2:
-            return _forward_2(f, CHORD_NODES_N2)
-        return _forward_sh_3(f, DISK_NODES_N3)
     grid = f.grid
-    sel = np.arange(grid.n_ang_total) < grid.antipodal_index
-    half = _slice_quadrature(f, grid.ang[sel], grid.t)
-    out = np.empty((grid.n_ang_total, grid.spec.n_t))
-    out[sel] = half
-    out[grid.antipodal_index[sel]] = half[:, ::-1]
-    return SliceData(grid, out, f.boundary_exponent + 0.5 * (n - 1))
+    e = f.boundary_exponent
+    if f.evaluator is None:
+        out = _harmonic_apply(grid, f.smooth, _forward_kernel(grid, e))
+    else:
+        sel = np.arange(grid.n_ang_total) < grid.antipodal_index
+        half = _slice_quadrature(f, grid.ang[sel], grid.t)
+        out = np.empty((grid.n_ang_total, grid.spec.n_t))
+        out[sel] = half
+        out[grid.antipodal_index[sel]] = half[:, ::-1]
+    return SliceData(grid, out, e + 0.5 * (f.spec.n - 1))
 
 
 def _unit_direction(theta, n):
@@ -574,33 +564,13 @@ def _radial_kernel(grid, M):
 def _filter_kernel(grid, exponent):
     """The radial kernel of john's t-filter for plane data with boundary
     exponent `exponent`: -d^2/ds^2 for n = 3, where the exponent enters, and
-    -d^2/ds^2 of the log convolution for n = 2; sampled one radius at a time."""
+    -d^2/ds^2 of the log convolution for n = 2, where it does not (pass None,
+    so one kernel serves every exponent); sampled one radius at a time."""
     if grid.spec.n == 2:
         rows = [_log_filter_matrix(grid.t, s) for s in _kernel_offsets(grid)]
     else:
         rows = [_plane_filter_matrix(grid.t, s, exponent) for s in _kernel_offsets(grid)]
     return _radial_kernel(grid, np.stack(rows))
-
-
-def _filtered_backprojection(G, K):
-    """(1/sigma_{n-1}) int (KG)(theta, theta . x') dtheta at the chart nodes,
-    shape (n_ang_total, n_radial), for a kernel K of `_radial_kernel`:
-    harmonic analysis (an rFFT over angles at n = 2, `_sh_basis` at n = 3),
-    K per degree, synthesis.  `john` and `ac` pass `_filter_kernel`, since
-    -Delta R*g = R*(-g''); `hs` passes its annulus multiplier.
-    """
-    grid = G.grid
-    if grid.spec.n == 2:
-        modes = np.fft.rfft(G.values, axis=0)
-        out = K @ np.stack([modes.real, modes.imag], axis=-1)
-        return np.fft.irfft(out[..., 0] + 1j * out[..., 1], n=grid.n_ang_total, axis=0)
-    Y, degs = _sh_basis(grid, grid.n_polar - 1)
-    coef = (Y * grid.ang_weight[:, None]).T @ G.values
-    out = np.empty((coef.shape[0], grid.spec.n_radial))
-    for l, Kl in enumerate(K):
-        rows = degs == l
-        out[rows] = coef[rows] @ Kl.T
-    return Y @ out
 
 
 # -- spherical means -----------------------------------------------------------

@@ -10,7 +10,7 @@ from vslice.invert_hs import invert_hypersingular
 from vslice.invert_john import invert_even, invert_john, invert_odd
 from vslice.invert_svd import sphere_basis_grid, svd_index_set
 from vslice.specfun import method_constants, sphere_area
-from vslice.xform import _log_filter_matrix
+from vslice.xform import _filter_kernel, _log_filter_matrix
 
 SPEC2 = GridSpec(2, 128, 48, 64)
 SPEC3 = GridSpec(3, 16, 24, 32)
@@ -118,6 +118,17 @@ def test_even_kernel_equals_direction_sum():
     want *= method_constants(2).c_hat_n / sphere_area(2)
     got = invert_even(F).smooth
     assert np.max(np.abs(got - want)) <= 1e-8 * np.max(np.abs(want))
+
+
+def test_even_kernel_shared_across_exponents():
+    # the n = 2 log filter does not depend on the boundary exponent, so one
+    # kernel per grid serves sinograms of every exponent
+    g = make_grid(GridSpec(2, 24, 8, 20))
+    values = np.random.default_rng(17).normal(size=(g.n_ang_total, g.spec.n_t))
+    misses = _filter_kernel.cache_info().misses
+    for exponent in (0.5, 1.0):
+        invert_john(SliceData(g, values, exponent))
+    assert _filter_kernel.cache_info().misses == misses + 1
 
 
 @pytest.mark.parametrize(

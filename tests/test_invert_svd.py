@@ -139,9 +139,9 @@ def test_singular_relation_on_evaluator_path(spec, lam, indices):
     for nu in map(SvdIndex._make, indices):
         const = svd_constants(n, lam, nu)
 
-        def ev(pts, nu=nu, c=const.c_nu):
+        def ev(pts, nu=nu):
             pts = np.asarray(pts, dtype=float)
-            return _eta_smooth_at(nu, lam, n, pts, np.sum(pts * pts, axis=-1), c)
+            return _eta_smooth_at(nu, lam, n, pts, np.sum(pts * pts, axis=-1))
 
         eta = sphere_basis_grid(nu, lam, g)
         f = SphereFunction(g, eta.smooth, eta.boundary_exponent, ev)
@@ -187,6 +187,55 @@ def test_analyze_zero_and_band_guard(g2):
         analyze(F, 1.0, band=g2.spec.n_t)
     with pytest.raises(TypeError):
         analyze(np.zeros(3), 1.0, band=2)
+
+
+@pytest.mark.parametrize(
+    "spec, lam, edge",
+    [
+        (GridSpec(2, 8, 24, 64), 1.0, SvdIndex(3, 2, 0)),
+        (GridSpec(3, 4, 12, 32), 1.5, SvdIndex(3, 7, 0)),
+    ],
+)
+def test_band_guard_follows_angular_grid(spec, lam, edge):
+    # the angular quadrature expands exactly up to degree n_angular/2 - 1
+    # (n = 2) or n_polar - 1 (n = 3) and aliases past it: on GridSpec(2, 8,
+    # 24, 64), band 9 used to reconstruct basis (1, 1, 4) with a 92.5 % error
+    g = make_grid(spec)
+    band = edge.m
+    for spectrum in (
+        analyze(slice_basis_grid(edge, lam, g), lam, band),
+        sphere_coefficients(sphere_basis_grid(edge, lam, g), lam, band),
+    ):
+        want = [1.0 if nu == edge else 0.0 for nu in spectrum.indices]
+        assert np.max(np.abs(spectrum.coeffs - want)) < 1e-12
+    F = vslice_forward(sphere_basis_grid(SvdIndex(1, 1, 4), lam, g))
+    f = synthesize_sphere(SpectralCoeffs(lam, [edge], [1.0]), g)
+    for call in (
+        lambda: analyze(F, lam, band + 1),
+        lambda: reconstruct(F, lam, band + 1),
+        lambda: reconstruct(F, lam, 9),
+        lambda: sphere_coefficients(f, lam, band + 1),
+    ):
+        with pytest.raises(ValueError, match="angular grid"):
+            call()
+    beyond = SpectralCoeffs(lam, [SvdIndex(band + 1, 1, 0)], [1.0])
+    for synthesize in (synthesize_forward, synthesize_sphere):
+        with pytest.raises(ValueError, match="resolves"):
+            synthesize(beyond, g)
+
+
+@pytest.mark.parametrize(
+    "spec, lam", [(GridSpec(2, 128, 48, 64), 1.0), (GridSpec(3, 16, 24, 32), 1.5)]
+)
+def test_forward_matches_singular_synthesis(spec, lam):
+    # the forward kernel against the closed-form singular pairs, on a random
+    # mix of every band-6 basis function (all resolved on the half grids)
+    g = make_grid(spec)
+    idx = svd_index_set(spec.n, 6)
+    coeffs = SpectralCoeffs(lam, idx, np.random.default_rng(21).normal(size=len(idx)))
+    got = vslice_forward(synthesize_sphere(coeffs, g)).values
+    want = synthesize_forward(coeffs, g).values
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_synthesize_single_index(g2):

@@ -31,6 +31,7 @@ from vslice.xform import (
     _QUADRATURE_POINTS,
     _ball_rule,
     _filter_kernel,
+    _forward_kernel,
     _frames,
     _funk_hecke_rule,
     _jacobi_rule,
@@ -470,16 +471,29 @@ def test_plane_filter_closed_form(rule):
 
 
 def test_cached_arrays_are_read_only():
-    # cached rules and kernels are shared by every caller of their cache
+    # cached rules and kernels are shared by every caller of their cache, and
+    # the memoized grids they are keyed on must not change under them
     small2 = make_grid(GridSpec(2, 16, 8, 16))
     small3 = make_grid(GridSpec(3, 8, 12, 16))
+    grid_arrays = [
+        getattr(g, name)
+        for g, names in (
+            (small2, ("angles",)),
+            (small3, ("polar_cos", "polar_weight", "azim")),
+        )
+        for name in names + ("t", "r", "u", "ang", "ang_weight", "_radial_base")
+    ]
     cached = [
+        *grid_arrays,
         *_jacobi_rule(8, 0.5, 0.5),
-        *_sh_basis(small3, 7),
+        *_sh_basis(small2),
+        *_sh_basis(small3),
         *_funk_hecke_rule(small2),
         *_funk_hecke_rule(small3),
-        _filter_kernel(small2, 0.0),
+        _filter_kernel(small2, None),
         _filter_kernel(small3, 0.5),
+        _forward_kernel(small2, 1.0),
+        _forward_kernel(small3, 1.0),
         _annulus_kernel(small2, 0.1, 4.0, True),
     ]
     for a in cached:
