@@ -39,15 +39,9 @@ from .harness import (
     write_json,
     write_vsl,
 )
-from .invert_ac import (
-    check_equator_decay,
-    full_transform,
-    invert_ac,
-    invert_ac_n2,
-    invert_ac_odd,
-)
+from .invert_ac import check_equator_decay, full_transform, invert_ac
 from .invert_hs import invert_hypersingular
-from .invert_john import invert_even, invert_john, invert_odd
+from .invert_john import invert_john
 from .invert_svd import (
     SpectralCoeffs,
     analyze,

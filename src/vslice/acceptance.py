@@ -24,7 +24,7 @@ from .grid import (
     make_grid,
 )
 from .harness import Phantom, compare, make_phantom
-from .invert_ac import full_transform, invert_ac_n2, invert_ac_odd
+from .invert_ac import _ac_constant, full_transform, invert_ac
 from .invert_hs import DEFAULT_EPS, invert_hypersingular
 from .invert_john import invert_john
 from .invert_svd import (
@@ -33,7 +33,7 @@ from .invert_svd import (
     sphere_basis_grid,
     svd_index_set,
 )
-from .specfun import harmonic_dim, method_constants, sphere_area, svd_constants
+from .specfun import harmonic_dim, method_constants, svd_constants
 from .xform import log_kernel_identity, vslice_direct, vslice_forward
 
 DEFAULT_N2 = GridSpec(2, 256, 96, 128)
@@ -120,13 +120,13 @@ class Workspace:
         return self.get("john3_report", lambda: compare(self.bump3(), self.john3(), method="john"))
 
     def ac2(self):
-        return self.get("ac2", lambda: invert_ac_n2(full_transform(self.margin_slices2())))
+        return self.get("ac2", lambda: invert_ac(full_transform(self.margin_slices2())))
 
     def ac2_report(self):
         return self.get("ac2_report", lambda: compare(self.margin2(), self.ac2(), method="ac"))
 
     def ac3(self):
-        return self.get("ac3", lambda: invert_ac_odd(full_transform(self.margin_slices3())))
+        return self.get("ac3", lambda: invert_ac(full_transform(self.margin_slices3())))
 
     def ac3_report(self):
         return self.get("ac3_report", lambda: compare(self.margin3(), self.ac3(), method="ac"))
@@ -301,10 +301,9 @@ def criterion_8(ws):
     """
     rep2 = ws.ac2_report()
     rep3 = ws.ac3_report()
-    k2, k3 = method_constants(2), method_constants(3)
-    # the constants of invert_ac_n2 and invert_ac_odd
-    ratio2 = 2.0 * (-sphere_area(2) / (8.0 * math.pi**2)) / k2.c_hat_n
-    ratio3 = 2.0 * k3.lambda_n * sphere_area(3) / k3.c_n
+    # the constants invert_ac uses, against invert_john's
+    ratio2 = 2.0 * _ac_constant(2) / method_constants(2).c_hat_n
+    ratio3 = 2.0 * _ac_constant(3) / method_constants(3).c_n
     want2 = -1.0 / math.sqrt(math.pi)
     ulps2 = abs(ratio2 - want2) / math.ulp(want2)
     ulps3 = abs(ratio3 - 1.0) / math.ulp(1.0)
@@ -383,9 +382,9 @@ def criterion_12(ws):
     h_john3 = compare(h_bump3, invert_john(h_F3)).rel_l2_after_scale
 
     h_m2 = make_phantom(MARGIN_N2, HALF_N2)
-    h_ac2 = compare(h_m2, invert_ac_n2(full_transform(vslice_forward(h_m2)))).rel_l2_after_scale
+    h_ac2 = compare(h_m2, invert_ac(full_transform(vslice_forward(h_m2)))).rel_l2_after_scale
     h_m3 = make_phantom(MARGIN_N3, HALF_N3)
-    h_ac3 = compare(h_m3, invert_ac_odd(full_transform(vslice_forward(h_m3)))).rel_l2_after_scale
+    h_ac3 = compare(h_m3, invert_ac(full_transform(vslice_forward(h_m3)))).rel_l2_after_scale
 
     pairs = [
         ("john n=2", h_john2, ws.john2_report().rel_l2_after_scale),

@@ -10,27 +10,8 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 import time
-
-
-def _set_thread_env():
-    cap = os.environ.get("VSLICE_THREADS")
-    if cap:
-        for var in (
-            "OMP_NUM_THREADS",
-            "OPENBLAS_NUM_THREADS",
-            "MKL_NUM_THREADS",
-            "NUMEXPR_NUM_THREADS",
-        ):
-            os.environ.setdefault(var, cap)
-
-
-def main(argv=None):
-    """Console entry point; applies VSLICE_THREADS before numpy is loaded."""
-    _set_thread_env()
-    return cli(argv)
 
 
 class _UsageError(Exception):
@@ -340,4 +321,4 @@ def cli(argv=None):
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(cli())

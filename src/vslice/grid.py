@@ -18,8 +18,6 @@ from scipy.special import roots_jacobi, roots_legendre
 
 from .specfun import jacobi_poly, log_gamma
 
-T_RULES = ("chebyshev", "gauss_legendre")
-
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -29,7 +27,6 @@ class GridSpec:
     n_angular: int
     n_radial: int
     n_t: int
-    t_rule: str = "chebyshev"
 
     def __post_init__(self):
         counts = (self.n, self.n_angular, self.n_radial, self.n_t)
@@ -41,8 +38,6 @@ class GridSpec:
             raise ValueError("all node counts must be >= 4")
         if self.n == 2 and self.n_angular % 2:
             raise ValueError("n = 2 needs an even angular count (antipodal pairs)")
-        if self.t_rule not in T_RULES:
-            raise ValueError("t_rule must be one of %r" % (T_RULES,))
 
     def to_dict(self):
         return asdict(self)
@@ -104,7 +99,8 @@ class Grid:
     Angular layout: n=2 is a uniform grid on the circle, n=3 is Gauss-Legendre
     in the polar cosine crossed with a uniform azimuth of twice as many nodes,
     flattened in polar-major order.  Radial nodes live in u = r^2 so that even
-    polynomial profiles integrate exactly; t nodes sit strictly inside (-1, 1).
+    polynomial profiles integrate exactly; the t nodes are the Gauss-Chebyshev
+    nodes, strictly inside (-1, 1).
     """
 
     def __init__(self, spec):
@@ -146,11 +142,7 @@ class Grid:
         self.r = np.sqrt(self.u)
 
         M = spec.n_t
-        if spec.t_rule == "chebyshev":
-            t = np.cos((2.0 * np.arange(M) + 1.0) * np.pi / (2.0 * M))[::-1]
-        else:
-            t, _ = roots_legendre(M)
-        self.t = _symmetrize(t)
+        self.t = _symmetrize(np.cos((2.0 * np.arange(M) + 1.0) * np.pi / (2.0 * M))[::-1])
 
         # every kernel cache is keyed on the memoized grid, so its nodes are fixed
         for a in vars(self).values():
@@ -190,22 +182,17 @@ class Grid:
         """Weights w with sum w[j] h(t[j]) = int_{-1}^{1} h(t) (1-t^2)^extra dt.
 
         Exact for polynomial h up to degree n_t - 1; requires extra > -1.
-        Where the t rule is the Gauss rule for the weight, the rule's own
-        weights are returned, accurate to rounding and bitwise symmetric:
-        pi/n_t on the chebyshev rule at extra = -1/2, and the Gauss-Legendre
-        weights on the gauss_legendre rule at extra = 0.  Every other pair
-        solves for the weights on the fixed nodes.
+        The t nodes are the Gauss-Chebyshev nodes, so at extra = -1/2 the
+        rule's own weights pi/n_t are returned, exact and bitwise symmetric;
+        every other exponent solves for the weights on the fixed nodes.
         """
         extra = float(extra)
         if extra <= -1.0:
             raise ValueError("t weight exponent must exceed -1")
         w = self._t_w.get(extra)
         if w is None:
-            rule = self.spec.t_rule
-            if rule == "chebyshev" and extra == -0.5:
+            if extra == -0.5:
                 w = np.full(self.spec.n_t, np.pi / self.spec.n_t)
-            elif rule == "gauss_legendre" and extra == 0.0:
-                w = _legendre_weights(self.t)
             else:
                 total = math.sqrt(math.pi) * math.exp(
                     log_gamma(extra + 1.0) - log_gamma(extra + 1.5)

@@ -15,7 +15,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .grid import (
-    T_RULES,
     GridSpec,
     SliceData,
     SphereFunction,
@@ -274,10 +273,10 @@ def write_vsl(path, data, lam=float("nan")):
                 "<IIIId",
                 spec.n_angular,
                 spec.n_radial,
-                # rule codes: the radial rule is always Gauss-Jacobi (0); the
-                # t rule is its position in T_RULES
+                # rule codes: the radial rule is always Gauss-Jacobi (0) and
+                # the t rule always Chebyshev (0)
                 0,
-                T_RULES.index(spec.t_rule),
+                0,
                 data.boundary_exponent,
             )
         )
@@ -305,9 +304,9 @@ def read_vsl(path):
     off += struct.calcsize("<IIIId")
     if rrule != 0:
         raise ValueError(f"unknown radial rule code {rrule}; only 0 (gauss_jacobi) exists")
-    if trule >= len(T_RULES):
-        raise ValueError(f"unknown t rule code {trule}")
-    spec = GridSpec(int(n), int(n_angular), int(n_radial), int(n_t), T_RULES[trule])
+    if trule != 0:
+        raise ValueError(f"unknown t rule code {trule}; only 0 (chebyshev) exists")
+    spec = GridSpec(int(n), int(n_angular), int(n_radial), int(n_t))
     grid = make_grid(spec)
     if grid.n_ang_total != n_ang_total:
         raise ValueError("angular node count does not match the grid spec")

@@ -59,34 +59,22 @@ def _decay_guard(F):
         )
 
 
-def invert_ac_odd(F):
-    """Three-dimensional reconstruction from the full transform V.
+def _ac_constant(n):
+    """The constant of the continued formula in dimension n.
 
-    The t-derivative order n-3 is zero here, so the formula is a pure
+    n = 3: the t-derivative order n-3 is zero, so the formula is a pure
     backprojection (an unnormalized integral over directions) followed by
-    the scaled Laplacian.
-    """
-    if F.grid.spec.n != 3:
-        raise ValueError("invert_ac_odd requires n = 3 slice data")
-    _decay_guard(F)
-    return _reconstruct(F, method_constants(3).lambda_n * sphere_area(3))
-
-
-def invert_ac_n2(F):
-    """Two-dimensional reconstruction from the full transform V.
-
-    The published constant is 1/(8 pi^2) against an unnormalized direction
+    the scaled Laplacian, with constant lambda_3 sigma_3.  n = 2: the
+    published constant is 1/(8 pi^2) against an unnormalized direction
     integral and +Delta; folding in the 2 pi normalization of the averaged
-    log filter and the sign of -Delta gives the factor below.
+    log filter and the sign of -Delta gives -sigma_2 / (8 pi^2).
     """
-    if F.grid.spec.n != 2:
-        raise ValueError("invert_ac_n2 requires n = 2 slice data")
-    _decay_guard(F)
-    return _reconstruct(F, -sphere_area(2) / (8.0 * np.pi**2))
+    if n == 3:
+        return method_constants(3).lambda_n * sphere_area(3)
+    return -sphere_area(2) / (8.0 * np.pi**2)
 
 
 def invert_ac(F):
-    """Dispatch on the dimension of the slice data."""
-    if F.grid.spec.n == 2:
-        return invert_ac_n2(F)
-    return invert_ac_odd(F)
+    """Reconstruction from the full transform V by the continued formula."""
+    _decay_guard(F)
+    return _reconstruct(F, _ac_constant(F.grid.spec.n))

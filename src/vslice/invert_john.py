@@ -36,22 +36,9 @@ def _reconstruct(F, constant):
     return project(BallFunction(grid, smooth))
 
 
-def invert_odd(F):
-    """Three-dimensional reconstruction: local filtered backprojection."""
-    if F.grid.spec.n != 3:
-        raise ValueError("invert_odd requires n = 3 slice data")
-    return _reconstruct(F, method_constants(3).c_n)
-
-
-def invert_even(F):
-    """Two-dimensional reconstruction: log-filtered backprojection."""
-    if F.grid.spec.n != 2:
-        raise ValueError("invert_even requires n = 2 slice data")
-    return _reconstruct(F, method_constants(2).c_hat_n)
-
-
 def invert_john(F):
-    """Dispatch on the dimension of the slice data."""
-    if F.grid.spec.n == 2:
-        return invert_even(F)
-    return invert_odd(F)
+    """Reconstruction by John's reduction: the local filtered backprojection
+    with c_3 at n = 3, the log-filtered one with c_hat_2 at n = 2."""
+    n = F.grid.spec.n
+    k = method_constants(n)
+    return _reconstruct(F, k.c_n if n == 3 else k.c_hat_n)

@@ -213,6 +213,12 @@ def sphere_coefficients(f, lam=None, band=8):
     if lam is None:
         lam = n / 2.0
     _check_band(grid, band)
+    # the radial weights are exact only to degree n_radial - 1 when lam != n/2
+    limit = grid.spec.n_radial - 1
+    if band > limit:
+        raise ValueError(
+            f"band {band} too high for {grid.spec.n_radial} radial nodes (max {limit})"
+        )
     indices = svd_index_set(n, band)
     # the lifts against (1-|x'|^2)^(n/2-lam): the members carry (1-|x'|^2)^(lam-n/2)
     w = grid.radial_weights(f.boundary_exponent - 0.5)

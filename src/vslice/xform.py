@@ -352,9 +352,9 @@ def _dual_rep(F):
     # one direction per antipodal pair with the folded profile
     # F(theta, t) + F(-theta, -t), exact for any data (the odd part cancels),
     # as a C^2 cubic spline pinned to zero at t = +-1 (slice data of
-    # integrable functions vanishes there).  It is the interpolant of
-    # `_node_spline` that the n = 2 filters act on, so dual_radon is their
-    # spatial reference.
+    # integrable functions vanishes there).  It is `_node_spline`, the
+    # interpolant the n = 2 filters act on, so dual_radon is their spatial
+    # reference.
     rep = getattr(F, "_dual_coeffs", None)
     if rep is None:
         grid = F.grid
@@ -362,10 +362,8 @@ def _dual_rep(F):
         w = grid.ang_weight[sel] / sphere_area(grid.spec.n)
         values = F.values
         folded = values[sel] + values[grid.antipodal_index[sel]][:, ::-1]
-        pad = np.zeros((folded.shape[0], 1))
-        x = np.concatenate(([-1.0], grid.t, [1.0]))
-        y = np.concatenate([pad, folded, pad], axis=1)
-        rep = (grid.ang[sel], w, x, CubicSpline(x, y, axis=1, bc_type="natural").c)
+        x, spline = _node_spline(grid.t)
+        rep = (grid.ang[sel], w, x, np.tensordot(spline.c, folded, axes=(2, 1)))
         F._dual_coeffs = rep
     return rep
 

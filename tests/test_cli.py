@@ -1,13 +1,16 @@
+import importlib
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
-from vslice.cli import _set_thread_env, cli
+from vslice.cli import cli
 from vslice.harness import read_json, read_vsl
 from vslice.invert_svd import svd_index_set
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GRID = "64x24x32"
 BUMP_FLAGS = ["--phantom", "bump", "--n", "2", "--center", "0.3,-0.2,0.93",
               "--margin", "0.25"]
@@ -168,12 +171,11 @@ def test_selftest_subset(capsys):
     assert "harmonic dimension" in out
 
 
-def test_thread_env(monkeypatch):
-    monkeypatch.setenv("VSLICE_THREADS", "3")
-    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-    _set_thread_env()
-    import os
-
-    assert os.environ["OMP_NUM_THREADS"] == "3"
-    assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
+def test_console_script_entry_point():
+    # the callable [project.scripts] names must exist and run a subcommand
+    tomllib = pytest.importorskip("tomllib")
+    with open(os.path.join(ROOT, "pyproject.toml"), "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["vslice"]
+    module, attr = target.split(":")
+    entry = getattr(importlib.import_module(module), attr)
+    assert entry(["selftest", "--criteria", "10"]) == 0

@@ -289,18 +289,6 @@ def test_vsl_roundtrip_sphere(tmp_path):
     assert back.grid.spec == SPEC3
 
 
-@pytest.mark.parametrize("t_rule", ["chebyshev", "gauss_legendre"])
-def test_vsl_roundtrip_rules(tmp_path, t_rule):
-    spec = GridSpec(2, 16, 8, 16, t_rule=t_rule)
-    g = make_grid(spec)
-    F = SliceData(g, np.random.default_rng(4).standard_normal((16, 16)), 0.5)
-    path = tmp_path / "rules.vsl"
-    write_vsl(path, F)
-    back, _ = read_vsl(path)
-    assert back.grid.spec == spec
-    assert np.array_equal(back.smooth, F.smooth)
-
-
 def test_vsl_rejects_garbage(tmp_path):
     path = tmp_path / "bad.vsl"
     path.write_bytes(b"NOTAFILE" + b"\0" * 64)
@@ -330,18 +318,20 @@ def test_vsl_rejects_garbage(tmp_path):
         write_vsl(tmp_path / "x.vsl", np.zeros(4))
 
 
-def test_vsl_rejects_radial_rule_code(tmp_path):
-    # the header keeps its radial-rule slot; Gauss-Jacobi (0) is the only rule
+@pytest.mark.parametrize("slot, name", [(0, "radial"), (1, "t")])
+def test_vsl_rejects_rule_code(tmp_path, slot, name):
+    # the header keeps both rule slots; Gauss-Jacobi (radial) and Chebyshev
+    # (t), code 0 each, are the only rules
     g = make_grid(SPEC2)
     good = tmp_path / "good.vsl"
     write_vsl(good, SliceData(g, np.ones((g.n_ang_total, g.spec.n_t)), 0.5))
     raw = bytearray(good.read_bytes())
-    at = 16 + struct.calcsize("<IdII") + struct.calcsize("<II")
+    at = 16 + struct.calcsize("<IdII") + struct.calcsize("<II") + 4 * slot
     assert struct.unpack_from("<I", raw, at) == (0,)
     struct.pack_into("<I", raw, at, 1)
-    bad = tmp_path / "radial.vsl"
+    bad = tmp_path / "rule.vsl"
     bad.write_bytes(bytes(raw))
-    with pytest.raises(ValueError, match="radial rule code 1"):
+    with pytest.raises(ValueError, match=f"unknown {name} rule code 1; only 0"):
         read_vsl(bad)
 
 
@@ -387,5 +377,5 @@ def test_report_to_dict():
     rep = ValidationReport("svd", 0.1, 0.05, 1.02, SPEC2, 12)
     d = rep.to_dict()
     assert d["schema_version"] == 1
-    assert d["grid"]["n"] == 2
+    assert d["grid"] == {"n": 2, "n_angular": 32, "n_radial": 24, "n_t": 16}
     assert d["method"] == "svd"

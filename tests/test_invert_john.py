@@ -7,7 +7,7 @@ from vslice import GridSpec, make_grid, vslice_forward
 from vslice.grid import SliceData
 from vslice.harness import Phantom, compare, make_phantom
 from vslice.invert_hs import invert_hypersingular
-from vslice.invert_john import invert_even, invert_john, invert_odd
+from vslice.invert_john import invert_john
 from vslice.invert_svd import sphere_basis_grid, svd_index_set
 from vslice.specfun import method_constants, sphere_area
 from vslice.xform import _filter_kernel, _log_filter_matrix
@@ -40,15 +40,11 @@ def test_even_zero_and_dispatch():
 def test_odd_zero():
     g = make_grid(SPEC3)
     F = SliceData(g, np.zeros((g.n_ang_total, g.spec.n_t)), 1.0)
-    rec = invert_odd(F)
+    rec = invert_john(F)
     assert np.max(np.abs(rec.values)) < 1e-14
 
 
-def test_dimension_guards(round2, round3):
-    with pytest.raises(ValueError):
-        invert_odd(round2[1])
-    with pytest.raises(ValueError):
-        invert_even(round3[1])
+def test_dimension_guards(round2):
     # non-finite data is already rejected by the container itself
     with pytest.raises(ValueError, match="finite"):
         SliceData(round2[1].grid, np.full_like(round2[1].smooth, np.nan), 0.5)
@@ -56,7 +52,7 @@ def test_dimension_guards(round2, round3):
 
 def test_even_round_trip(round2):
     f, F = round2
-    rec = invert_even(F)
+    rec = invert_john(F)
     rep = compare(f, rec, method="john-even")
     # the published constant differs from the true one by -sqrt(pi); the
     # shape must still come back, and the fitted scalar pins the offset
@@ -66,7 +62,7 @@ def test_even_round_trip(round2):
 
 def test_odd_round_trip(round3):
     f, F = round3
-    rec = invert_odd(F)
+    rec = invert_john(F)
     rep = compare(f, rec, method="john-odd")
     assert rep.rel_l2_after_scale < 0.06
     assert rep.rel_l2 < 0.08
@@ -79,9 +75,9 @@ def test_even_linearity(round2):
     rng = np.random.default_rng(8)
     G = SliceData(g, F.smooth * rng.uniform(0.5, 1.5, F.smooth.shape), F.boundary_exponent)
     combo = SliceData(g, 2.0 * F.smooth - 3.0 * G.smooth, F.boundary_exponent)
-    a = invert_even(combo)
-    b1 = invert_even(F)
-    b2 = invert_even(G)
+    a = invert_john(combo)
+    b1 = invert_john(F)
+    b2 = invert_john(G)
     want = 2.0 * b1.smooth - 3.0 * b2.smooth
     scale = np.max(np.abs(want))
     assert np.max(np.abs(a.smooth - want)) < 1e-10 * scale
@@ -92,10 +88,10 @@ def test_even_rotational_equivariance(round2):
     # on the chart nodes, up to rounding.
     _, F = round2
     g = F.grid
-    rec = invert_even(F)
+    rec = invert_john(F)
     for shift in (g.n_ang_total // 4, 7):
         Frot = SliceData(g, np.roll(F.smooth, shift, axis=0), F.boundary_exponent)
-        rec_rot = invert_even(Frot)
+        rec_rot = invert_john(Frot)
         want = np.roll(rec.values, shift, axis=0)
         scale = np.max(np.abs(want))
         assert np.max(np.abs(rec_rot.values - want)) < 1e-10 * scale
@@ -116,7 +112,7 @@ def test_even_kernel_equals_direction_sum():
         for i in range(g.n_ang_total)
     )
     want *= method_constants(2).c_hat_n / sphere_area(2)
-    got = invert_even(F).smooth
+    got = invert_john(F).smooth
     assert np.max(np.abs(got - want)) <= 1e-8 * np.max(np.abs(want))
 
 
@@ -134,9 +130,9 @@ def test_even_kernel_shared_across_exponents():
 @pytest.mark.parametrize(
     "spec, invert",
     [
-        (GridSpec(2, 64, 16, 32), invert_even),
+        (GridSpec(2, 64, 16, 32), invert_john),
         (GridSpec(2, 64, 16, 32), invert_hypersingular),
-        (GridSpec(3, 8, 12, 16), invert_odd),
+        (GridSpec(3, 8, 12, 16), invert_john),
     ],
 )
 def test_odd_part_cancels(spec, invert):
@@ -159,7 +155,7 @@ def test_odd_inverts_basis_exactly():
     g = make_grid(SPEC3)
     for nu in svd_index_set(3, 6):
         eta = sphere_basis_grid(nu, 1.5, g)
-        rec = invert_odd(vslice_forward(eta))
+        rec = invert_john(vslice_forward(eta))
         scale = np.max(np.abs(eta.values))
         assert np.max(np.abs(rec.values - eta.values)) <= 1e-11 * scale, nu
 
@@ -168,6 +164,6 @@ def test_even_convergence_three_levels():
     errs = []
     for spec in (GridSpec(2, 64, 24, 32), GridSpec(2, 128, 48, 64), GridSpec(2, 256, 96, 128)):
         f = make_phantom(BUMP2, spec)
-        rec = invert_even(vslice_forward(f))
+        rec = invert_john(vslice_forward(f))
         errs.append(compare(f, rec).rel_l2_after_scale)
     assert errs[0] > errs[1] > errs[2]

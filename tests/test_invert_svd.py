@@ -224,6 +224,29 @@ def test_band_guard_follows_angular_grid(spec, lam, edge):
             synthesize(beyond, g)
 
 
+@pytest.mark.parametrize("spec", [GridSpec(2, 64, 6, 64), GridSpec(3, 12, 6, 32)])
+@pytest.mark.parametrize("shift", [0.0, 0.5])
+def test_band_guard_follows_radial_grid(spec, shift):
+    # off lam = n/2 the radial weights are exact only to degree n_radial - 1:
+    # at band 6 on these grids sphere_coefficients used to be off by 3e-3
+    # (lam = n/2 + 1/2), and by 1.0 at band 12 even for lam = n/2
+    g = make_grid(spec)
+    lam = spec.n / 2.0 + shift
+    band = spec.n_radial - 1
+    idx = svd_index_set(spec.n, band)
+    coeffs = SpectralCoeffs(lam, idx, np.random.default_rng(5).normal(size=len(idx)))
+    f = synthesize_sphere(coeffs, g)
+    got = sphere_coefficients(f, lam, band).coeffs
+    assert np.max(np.abs(got - coeffs.coeffs)) < 1e-12 * np.max(np.abs(coeffs.coeffs))
+    with pytest.raises(ValueError, match=f"radial nodes \\(max {band}\\)"):
+        sphere_coefficients(f, lam, band + 1)
+    # the slice side does no radial analysis, so the radial count does not limit it
+    spectrum = analyze(synthesize_forward(coeffs, g), lam, band + 1)
+    want = dict(zip(idx, coeffs.coeffs * [svd_constants(spec.n, lam, nu).s_nu for nu in idx]))
+    want = [want.get(nu, 0.0) for nu in spectrum.indices]
+    assert np.max(np.abs(spectrum.coeffs - want)) < 1e-12 * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize(
     "spec, lam", [(GridSpec(2, 128, 48, 64), 1.0), (GridSpec(3, 16, 24, 32), 1.5)]
 )

@@ -24,8 +24,8 @@ PUBLIC = [
     "check_equator_decay", "compare", "default_spec", "dual_radon",
     "finite_difference_normalizer", "full_transform", "gegenbauer_poly",
     "harmonic_dim", "inner_product_ball", "inner_product_slices", "inner_product_sphere",
-    "invert_ac", "invert_ac_n2", "invert_ac_odd", "invert_even", "invert_hypersingular",
-    "invert_john", "invert_odd", "is_even_slice_data", "jacobi_poly", "lift",
+    "invert_ac", "invert_hypersingular", "invert_john", "is_even_slice_data", "jacobi_poly",
+    "lift",
     "log_gamma", "log_kernel_identity", "make_grid", "make_phantom",
     "method_constants", "norm_ball", "norm_slices", "norm_sphere", "project",
     "radon_norm", "read_json", "read_vsl", "reconstruct", "run_acceptance",

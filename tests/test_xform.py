@@ -435,12 +435,11 @@ def test_dual_radon_fold_exact_on_odd_data(spec):
 # -- the t-filters of the filtered backprojection --------------------------------
 
 
-@pytest.mark.parametrize("rule", ["chebyshev", "gauss_legendre"])
-def test_log_filter_closed_form(rule):
+def test_log_filter_closed_form():
     # g = sqrt(1-t^2) U_{k-1}: its Hilbert transform is pi T_k, so
     # -d^2/ds^2 int log|s - t| g(t) dt = -pi k U_{k-1}(s) on |s| < 1; the
     # spline through the node values carries the error near the rims
-    g = make_grid(GridSpec(2, 16, 8, 128, t_rule=rule))
+    g = make_grid(GridSpec(2, 16, 8, 128))
     s = np.linspace(-0.9, 0.9, 181)
     M = _log_filter_matrix(g.t, s)
     for k in range(1, 6):
@@ -449,11 +448,10 @@ def test_log_filter_closed_form(rule):
         assert np.max(np.abs(got - want)) < 1e-4 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("rule", ["chebyshev", "gauss_legendre"])
-def test_plane_filter_closed_form(rule):
+def test_plane_filter_closed_form():
     # polynomial smooth parts are interpolated exactly, and the boundary
     # factor is differentiated analytically
-    g = make_grid(GridSpec(3, 8, 8, 32, t_rule=rule))
+    g = make_grid(GridSpec(3, 8, 8, 32))
     s = np.linspace(-0.95, 0.95, 191)
     # a = 1/2: sqrt(1-t^2) U_{k-1}(t) = sin(k phi) with t = cos(phi)
     M = _plane_filter_matrix(g.t, s, 0.5)
