@@ -17,6 +17,7 @@ import numpy as np
 from .grid import (
     GridSpec,
     SliceData,
+    default_spec,
     inner_product_ball,
     inner_product_slices,
     inner_product_sphere,
@@ -36,8 +37,6 @@ from .invert_svd import (
 from .specfun import harmonic_dim, method_constants, svd_constants
 from .xform import log_kernel_identity, vslice_direct, vslice_forward
 
-DEFAULT_N2 = GridSpec(2, 256, 96, 128)
-DEFAULT_N3 = GridSpec(3, 32, 48, 64)
 HALF_N2 = GridSpec(2, 128, 48, 64)
 HALF_N3 = GridSpec(3, 16, 24, 32)
 
@@ -84,7 +83,7 @@ class Workspace:
         return self.get(name, lambda: make_phantom(p, spec))
 
     def bump2(self):
-        return self.phantom("bump2", BUMP_N2, DEFAULT_N2)
+        return self.phantom("bump2", BUMP_N2, default_spec(2))
 
     def slices2(self):
         return self.get("slices2", lambda: vslice_forward(self.bump2()))
@@ -93,7 +92,7 @@ class Workspace:
         return self.get("john2", lambda: invert_john(self.slices2()))
 
     def bump3(self):
-        return self.phantom("bump3", BUMP_N3, DEFAULT_N3)
+        return self.phantom("bump3", BUMP_N3, default_spec(3))
 
     def slices3(self):
         return self.get("slices3", lambda: vslice_forward(self.bump3()))
@@ -102,13 +101,13 @@ class Workspace:
         return self.get("john3", lambda: invert_john(self.slices3()))
 
     def margin2(self):
-        return self.phantom("margin2", MARGIN_N2, DEFAULT_N2)
+        return self.phantom("margin2", MARGIN_N2, default_spec(2))
 
     def margin_slices2(self):
         return self.get("margin_slices2", lambda: vslice_forward(self.margin2()))
 
     def margin3(self):
-        return self.phantom("margin3", MARGIN_N3, DEFAULT_N3)
+        return self.phantom("margin3", MARGIN_N3, default_spec(3))
 
     def margin_slices3(self):
         return self.get("margin_slices3", lambda: vslice_forward(self.margin3()))
@@ -172,7 +171,7 @@ def criterion_1(ws):
 
 def criterion_2(ws):
     """Slice transform of the constant function has the closed arc-length form."""
-    flat = make_phantom(Phantom(kind="even_constant"), DEFAULT_N2)
+    flat = make_phantom(Phantom(kind="even_constant"), default_spec(2))
     F = vslice_forward(flat)
     want = math.pi * np.sqrt(1.0 - F.grid.t**2)
     err = float(np.max(np.abs(F.values - want)))
@@ -224,7 +223,7 @@ def criterion_4(ws):
 def criterion_5(ws):
     """Spectral round trips: exact on the matching band, monotone on a bump."""
     lam = 1.0
-    grid_phantom = make_phantom(Phantom(kind="basis", nu=(2, 1, 1), lam=lam), DEFAULT_N2)
+    grid_phantom = make_phantom(Phantom(kind="basis", nu=(2, 1, 1), lam=lam), default_spec(2))
     F = vslice_forward(grid_phantom)
     rec = reconstruct(F, lam=lam, band=4)
     banded = compare(grid_phantom, rec).rel_l2

@@ -3,6 +3,7 @@
 Subcommands: forward, invert, svd-table, phantom, selftest.  Every flag can
 also come from a JSON config object (--config FILE) keyed by the long flag
 names with underscores instead of dashes; explicit command-line flags win.
+A config may carry "schema_version": 1, like every JSON file of the package.
 Exit codes: 0 success, 1 validation failure, 2 usage error.
 """
 
@@ -10,8 +11,28 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
+
+from .acceptance import CRITERIA, run_acceptance
+from .grid import GridSpec, SliceData, default_spec
+from .harness import (
+    PHANTOM_KINDS,
+    SCHEMA_VERSION,
+    Phantom,
+    compare,
+    make_phantom,
+    read_json,
+    read_vsl,
+    write_json,
+    write_vsl,
+)
+from .invert_ac import full_transform, invert_ac
+from .invert_hs import invert_hypersingular
+from .invert_john import invert_john
+from .invert_svd import reconstruct, svd_table
+from .xform import vslice_forward
 
 
 class _UsageError(Exception):
@@ -34,7 +55,7 @@ def _require(args, *names):
 
 
 def _add_phantom_flags(p):
-    p.add_argument("--phantom", choices=["even_constant", "axial_power", "basis", "bump"],
+    p.add_argument("--phantom", choices=PHANTOM_KINDS,
                    help="phantom kind (alternative to --truth)")
     p.add_argument("--n", type=int, choices=[2, 3], help="sphere dimension")
     p.add_argument("--power", type=float, default=0.0, help="axial_power exponent")
@@ -116,6 +137,9 @@ def _apply_config(parser, commands, argv, args):
             raise _UsageError("config is not valid JSON: %s" % exc)
     if not isinstance(cfg, dict):
         raise _UsageError("config must be a JSON object")
+    version = cfg.pop("schema_version", SCHEMA_VERSION)
+    if version != SCHEMA_VERSION:
+        raise _UsageError("unsupported config schema version %r" % (version,))
     sub = commands[args.command]
     known = {a.dest for a in sub._actions}
     unknown = sorted(set(cfg) - known)
@@ -128,8 +152,6 @@ def _apply_config(parser, commands, argv, args):
 
 
 def _parse_grid(text, n):
-    from .grid import GridSpec, default_spec
-
     if text in (None, "default"):
         return default_spec(n)
     try:
@@ -141,8 +163,6 @@ def _parse_grid(text, n):
 
 def _phantom_from_args(args):
     """(Phantom, n) from the flag group or a --truth description file."""
-    from .harness import Phantom, read_json
-
     if getattr(args, "truth", None):
         payload = read_json(args.truth)
         n = int(payload["n"])
@@ -151,6 +171,8 @@ def _phantom_from_args(args):
         return Phantom.from_dict(payload["phantom"]), n
     if args.phantom is None:
         raise _UsageError("need --phantom (or --truth with a description file)")
+    if args.phantom not in PHANTOM_KINDS:
+        raise _UsageError("--phantom must be one of %s" % ", ".join(PHANTOM_KINDS))
     if args.n is None:
         raise _UsageError("need --n")
     n = int(args.n)
@@ -175,9 +197,6 @@ def _phantom_from_args(args):
 
 
 def _run_forward(args):
-    from .harness import make_phantom, write_vsl
-    from .xform import vslice_forward
-
     _require(args, "out")
     p, n = _phantom_from_args(args)
     spec = _parse_grid(args.grid, n)
@@ -189,8 +208,6 @@ def _run_forward(args):
 
 
 def _run_phantom(args):
-    from .harness import make_phantom, write_json, write_vsl
-
     _require(args, "out")
     p, n = _phantom_from_args(args)
     write_json(args.out, {"n": n, "phantom": p.to_dict()})
@@ -203,11 +220,6 @@ def _run_phantom(args):
 
 
 def _run_invert(args):
-    import math
-
-    from .grid import SliceData
-    from .harness import Phantom, compare, make_phantom, read_json, read_vsl, write_json, write_vsl
-
     _require(args, "method", "infile")
     if args.method not in ("john", "hs", "svd", "ac"):
         raise _UsageError("--method must be one of john, hs, svd, ac")
@@ -219,23 +231,15 @@ def _run_invert(args):
 
     t0 = time.perf_counter()
     if args.method == "john":
-        from .invert_john import invert_john
-
         rec = invert_john(data)
     elif args.method == "ac":
-        from .invert_ac import full_transform, invert_ac
-
         # forward writes half-transform sinograms; the continuation formulas
         # take the full (doubled) transform
         rec = invert_ac(full_transform(data))
     elif args.method == "hs":
-        from .invert_hs import invert_hypersingular
-
         eps = None if args.eps is None else float(args.eps)
         rec = invert_hypersingular(data, eps=eps, r_max=float(args.rmax))
     else:
-        from .invert_svd import reconstruct
-
         lam = None if args.lam is None else float(args.lam)
         if lam is None and math.isfinite(lam_file):
             lam = lam_file
@@ -257,8 +261,6 @@ def _run_invert(args):
 
 
 def _run_svd_table(args):
-    from .invert_svd import svd_table
-
     _require(args, "n")
     n = int(args.n)
     if n not in (2, 3):
@@ -280,8 +282,6 @@ def _run_svd_table(args):
 
 
 def _run_selftest(args):
-    from .acceptance import CRITERIA, run_acceptance
-
     numbers = None
     if args.criteria:
         numbers = set(_seq(args.criteria, int))

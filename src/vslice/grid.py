@@ -281,8 +281,8 @@ class _ChartFunction:
     """Shared behaviour of the three sampled-function containers."""
 
     def __init__(self, grid, smooth, boundary_exponent=0.0, evaluator=None):
-        # stored read-only, so the memoized spline table `dual_radon` builds
-        # from it cannot go stale; a read-only float array is shared as is
+        # stored read-only, so containers built from one array can share it:
+        # a read-only float array is taken as is, anything else is copied
         smooth = np.asarray(smooth, dtype=float)
         if smooth.flags.writeable:
             smooth = smooth.copy()

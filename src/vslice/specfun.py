@@ -272,12 +272,12 @@ class MethodConstants(NamedTuple):
     hs_constant: float  # c_n / d_{n,ell}(n-1): prefactor of the hypersingular integral
 
 
-def method_constants(n, ell=None, lam=None):
+def method_constants(n, ell=None):
     """Constants for the reconstruction formulas in ambient dimension n (sphere S^n).
 
     ell defaults to n-1 for even n and n for odd n (the finite-difference
-    order must exceed n-1 when n is odd).  If lam is given the weighted
-    operator norm is exposed as well via radon_norm(n, lam) — not stored here.
+    order must exceed n-1 when n is odd).  The weighted operator norm is
+    radon_norm(n, lam).
     """
     if n < 2:
         raise ValueError("need n >= 2")

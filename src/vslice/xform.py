@@ -4,22 +4,27 @@ The forward map sends an even function on the sphere to its integrals over
 the vertical half slices indexed by an equatorial direction theta and an
 offset t.  In the upper-hemisphere chart that integral factors through the
 hyperplane Radon transform of the lifted ball function, which is what the
-production path computes.  Whether a function carries an evaluator selects
+production path computes.  Both forward paths integrate over one slice rule,
+`_slice_rule`: signed chord nodes at n = 2, disk radii at n = 3, of the
+slice's unit (n-1)-ball.  Whether a function carries an evaluator selects
 the path.  A function with one (the bump, constant and axial-power
 phantoms) goes through one slice quadrature (`_slice_quadrature` on the
-nodes of `_ball_rule`), which also serves spherical means; the forward runs
-it over one direction per antipodal pair and fills the partner by evenness.
-It calls the evaluator once per offset and chunk of directions, so each call
-sees a bounded number of points however many directions the grid has.
-Sampled functions, singular basis functions among them, take the harmonic
-layer instead.  By Funk-Hecke the forward and the backprojection of
-t-filtered profiles are diagonal in the angular harmonics, so each is one
-radial matrix per harmonic degree, which `_harmonic_apply` applies between
-one harmonic analysis and one synthesis.  The forward's matrix
-(`_forward_kernel`) folds the chord (n = 2) or disk (n = 3) quadrature and
-the radial interpolation in u = r^2; it is exact for band-limited samples the
-grid resolves.  ``vslice_direct`` quadratures the slice integral from scratch
-in a different chart and serves as the independent oracle.
+nodes of `_ball_rule`, the slice rule crossed with azimuths at n = 3),
+which also serves spherical means; the forward runs it over one direction
+per antipodal pair and fills the partner by evenness.  It calls the
+evaluator once per offset and chunk of directions, so each call sees a
+bounded number of points however many directions the grid has.  Sampled
+functions, singular basis functions among them, take the harmonic layer
+instead.  By Funk-Hecke a degree-l harmonic integrated over a slice, or
+backprojected, picks up the zonal polynomial of a cosine (`_zonal_table`:
+T_l at n = 2, Legendre P_l at n = 3), so the forward and the backprojection
+of t-filtered profiles are one radial matrix per harmonic degree, which
+`_harmonic_apply` applies between one harmonic analysis and one synthesis.
+The forward's matrix (`_forward_kernel`) folds the slice rule and the
+radial interpolation in u = r^2; its rule grows with n_radial, so it is
+exact for every band-limited sample the grid resolves.  ``vslice_direct``
+quadratures the slice integral from scratch in a different chart and serves
+as the independent oracle.
 
 Also here: the dual (backprojection) operator `dual_radon`, the spatial
 oracle, and the t-filter kernels of the filtered routes: `john` and `ac`
@@ -38,13 +43,12 @@ from scipy.special import roots_jacobi, roots_legendre
 from .grid import SliceData, SphereFunction, _symmetrize
 from .specfun import harmonic_dim, sph_harm, sphere_area
 
-# Quadrature sizes for the slice integrals.  The chord rule is
-# spectrally accurate but compactly supported bumps converge slowly enough
-# that generous sizes are needed; 160 chords puts a width-0.7 bump at
-# ~1e-11 absolute error, and 48 radial disk nodes at ~2e-7.  Basis functions
-# of degree <= 10 are always integrated exactly.
-CHORD_NODES_N2 = 160
-DISK_NODES_N3 = 48
+# Radial node counts of the slice rule by n: chords at n = 2, disk radii at
+# n = 3.  The rule is spectrally accurate but compactly supported bumps
+# converge slowly enough that generous sizes are needed; 160 chords puts a
+# width-0.7 bump at ~1e-11 absolute error, and 48 radii at ~2e-7.  The
+# sampled forward takes at least n_radial nodes, which makes it exact.
+SLICE_NODES = {2: 160, 3: 48}
 
 _BACKPROJECT_CHUNK = 4096
 
@@ -111,14 +115,25 @@ def _sh_basis(grid):
     return Y, degs
 
 
-def _legendre_table(lmax, x):
+def _zonal_table(n, lmax, x):
+    """The zonal polynomials P_0 .. P_lmax of S^(n-1) at x, (lmax + 1,) + x.shape,
+    with P_l(1) = 1: Chebyshev T_l at n = 2, Legendre P_l at n = 3.  By
+    Funk-Hecke (Atkinson & Han, Spherical Harmonics and Approximations on the
+    Unit Sphere, 2.5) a degree-l harmonic integrated against h(theta . omega)
+    picks up P_l of the cosine."""
     P = np.empty((lmax + 1,) + x.shape)
     P[0] = 1.0
     if lmax >= 1:
         P[1] = x
     for l in range(1, lmax):
-        P[l + 1] = ((2 * l + 1) * x * P[l] - l * P[l - 1]) / (l + 1)
+        P[l + 1] = ((2 * l + n - 2) * x * P[l] - l * P[l - 1]) / (l + n - 2)
     return P
+
+
+def _kernel_degree(grid):
+    """Top degree of the radial kernels `_harmonic_apply` takes: the last rFFT
+    mode A/2 at n = 2, the band `_sh_basis` analyses, n_polar - 1, at n = 3."""
+    return grid.n_ang_total // 2 if grid.spec.n == 2 else grid.n_polar - 1
 
 
 def _harmonic_apply(grid, values, K):
@@ -165,28 +180,36 @@ def _frames(theta):
 # -- forward transform --------------------------------------------------------
 
 
-def _ball_rule(n, e):
-    """Nodes Y (count, n-1) in the unit (n-1)-ball and weights W for the weight
-    (1 - |y|^2)^(e - 1/2).
+def _slice_rule(n, e, count):
+    """The radial rule of a slice's unit (n-1)-ball: nodes s_q and weights w_q
+    with sum_q w_q g(s_q) = int g(|y|) (1 - |y|^2)^(e - 1/2) dy over the ball.
 
-    n = 2: Gauss-Jacobi chord nodes.  n = 3: radial Gauss-Jacobi nodes in
-    u = 2 rho^2 - 1 crossed with an even azimuth count, whose trapezoid rule
-    kills every odd power of rho exactly, which is what keeps low-degree
-    polynomials exact.  The azimuthal direction converges much faster than
-    the radial one for smooth integrands, so 2K/3 azimuths for K radial
-    nodes suffice.
+    n = 2: `count` signed Gauss-Jacobi chord nodes.  n = 3: `count` radii,
+    Gauss-Jacobi in u = 2 s^2 - 1, each weight carrying its circle's 2 pi.
+    Exact when g is a polynomial in s^2 of degree below `count`.
     """
     if n == 2:
-        tau, w = _jacobi_rule(CHORD_NODES_N2, e - 0.5, e - 0.5)
-        return tau[:, None], w
-    K = DISK_NODES_N3
-    xg, wg = _jacobi_rule(K, e - 0.5, 0.0)
-    rho = np.sqrt((xg + 1.0) / 2.0)
+        return _jacobi_rule(count, e - 0.5, e - 0.5)
+    x, w = _jacobi_rule(count, e - 0.5, 0.0)
+    return np.sqrt((x + 1.0) / 2.0), w * 2.0 ** (-(e + 0.5)) * math.pi
+
+
+def _ball_rule(n, e):
+    """Nodes Y (count, n-1) in the unit (n-1)-ball and weights W for the weight
+    (1 - |y|^2)^(e - 1/2): the slice rule at n = 2, and at n = 3 its radii
+    crossed with an even azimuth count, whose trapezoid rule kills every odd
+    power of s exactly, which is what keeps low-degree polynomials exact.  The
+    azimuthal direction converges much faster than the radial one for smooth
+    integrands, so 2K/3 azimuths for K radii suffice.
+    """
+    K = SLICE_NODES[n]
+    s, w = _slice_rule(n, e, K)
+    if n == 2:
+        return s[:, None], w
     kchi = max(2 * ((K + 2) // 3), 16)
     chi = 2.0 * np.pi * np.arange(kchi) / kchi
-    Y = rho[:, None, None] * np.stack([np.cos(chi), np.sin(chi)], axis=-1)
-    W = np.repeat(wg * 2.0 ** (-(e + 0.5)) * (math.pi / kchi), kchi)
-    return Y.reshape(-1, 2), W
+    Y = s[:, None, None] * np.stack([np.cos(chi), np.sin(chi)], axis=-1)
+    return Y.reshape(-1, 2), np.repeat(w / kchi, kchi)
 
 
 def _slice_quadrature(f, theta, t):
@@ -232,34 +255,27 @@ def _forward_kernel(grid, exponent):
 
     The profile is r^(l mod 2) times a polynomial in u = r^2, so the samples
     over r^(l mod 2) are interpolated in u (`_barycentric_matrix`) at each
-    quadrature radius rho_q and multiplied back by rho_q^(l mod 2).  n = 2:
-    the chord rule of `_ball_rule`, whose node tau_q lies at angle
-    delta_q = atan2(sqrt(1 - t^2) tau_q, t) off the direction, so degree m
-    picks up cos(m delta_q); the nodes are symmetric and the sine part
-    cancels.  n = 3: Funk-Hecke over the circles of the disk at offset t,
-    pi P_l(t / rho_q) against Gauss-Jacobi nodes in 1 - rho^2.  Exact for
-    band-limited samples the grid resolves.
+    radius rho_q and multiplied back by rho_q^(l mod 2).  The slice node s_q
+    at offset t lies at rho_q^2 = t^2 + (1 - t^2) s_q^2, at the cosine
+    t / rho_q off the direction, so by Funk-Hecke degree l picks up
+    P_l(t / rho_q) (the signed chord nodes cancel the sine part at n = 2).
+    For band-limited samples the grid resolves the integrand is a polynomial
+    in s^2 of degree below n_radial, so `_slice_rule` with at least n_radial
+    nodes is exact for them on any grid.
     """
     n = grid.spec.n
-    if n == 2:
-        tau, w = _jacobi_rule(CHORD_NODES_N2, exponent - 0.5, exponent - 0.5)
-        degs = np.arange(grid.n_ang_total // 2 + 1)
-    else:
-        x, w = _jacobi_rule(DISK_NODES_N3, 0.0, exponent - 0.5)
-        v = (x + 1.0) / 2.0
-        w = math.pi * 2.0 ** (-(exponent + 0.5)) * w
-        degs = np.arange(grid.n_polar)
-    odd = degs % 2 == 1
-    K = np.empty((degs.size, grid.spec.n_t, grid.spec.n_radial))
-    for j, tj in enumerate(grid.t):
-        if n == 2:
-            rho2 = tj * tj + (1.0 - tj * tj) * tau * tau
-            ang = np.cos(np.outer(degs, np.arctan2(math.sqrt(1.0 - tj * tj) * tau, tj)))
-        else:
-            rho2 = 1.0 - (1.0 - tj * tj) * v
-            ang = _legendre_table(degs[-1], tj / np.sqrt(rho2))
-        ang[odd] *= np.sqrt(rho2)
-        K[:, j] = (ang * w) @ _barycentric_matrix(grid.u, rho2)
+    s, w = _slice_rule(n, exponent, max(SLICE_NODES[n], grid.spec.n_radial))
+    lmax = _kernel_degree(grid)
+    odd = np.arange(lmax + 1) % 2 == 1
+    t = grid.t[:, None]
+    rho2 = t * t + (1.0 - t * t) * s * s
+    rho = np.sqrt(rho2)
+    Z = _zonal_table(n, lmax, t / rho)
+    Z[odd] *= rho
+    Z *= w
+    K = np.empty((lmax + 1, grid.spec.n_t, grid.spec.n_radial))
+    for j in range(grid.spec.n_t):
+        K[:, j] = Z[:, j] @ _barycentric_matrix(grid.u, rho2[j])
     K[odd] /= grid.r
     K.setflags(write=False)
     return K
@@ -348,50 +364,6 @@ def vslice_direct(f, theta, t, chord_nodes=None):
 # -- dual transform ------------------------------------------------------------
 
 
-def _dual_rep(F):
-    # one direction per antipodal pair with the folded profile
-    # F(theta, t) + F(-theta, -t), exact for any data (the odd part cancels),
-    # as a C^2 cubic spline pinned to zero at t = +-1 (slice data of
-    # integrable functions vanishes there).  It is `_node_spline`, the
-    # interpolant the n = 2 filters act on, so dual_radon is their spatial
-    # reference.
-    rep = getattr(F, "_dual_coeffs", None)
-    if rep is None:
-        grid = F.grid
-        sel = np.arange(grid.n_ang_total) < grid.antipodal_index
-        w = grid.ang_weight[sel] / sphere_area(grid.spec.n)
-        values = F.values
-        folded = values[sel] + values[grid.antipodal_index[sel]][:, ::-1]
-        x, spline = _node_spline(grid.t)
-        rep = (grid.ang[sel], w, x, np.tensordot(spline.c, folded, axes=(2, 1)))
-        F._dual_coeffs = rep
-    return rep
-
-
-def _eval_rows(x, c, S):
-    idx = np.clip(np.searchsorted(x, S, side="right") - 1, 0, len(x) - 2)
-    dx = S - x[idx]
-    rows = np.arange(S.shape[0])[:, None]
-    out = c[0, idx, rows]
-    for k in range(1, c.shape[0]):
-        out = out * dx + c[k, idx, rows]
-    return out
-
-
-def _backproject_many(F, pts):
-    """(1/sigma_{n-1}) sum_i w_i F(theta_i, theta_i . x) at many points."""
-    ang, w, x, c = _dual_rep(F)
-    pts = np.asarray(pts, dtype=float)
-    out = np.empty(pts.shape[0])
-    for lo in range(0, pts.shape[0], _BACKPROJECT_CHUNK):
-        hi = min(lo + _BACKPROJECT_CHUNK, pts.shape[0])
-        S = ang @ pts[lo:hi].T
-        vals = _eval_rows(x, c, np.clip(S, -1.0, 1.0))
-        np.multiply(vals, np.abs(S) < 1.0, out=vals)
-        out[lo:hi] = w @ vals
-    return out
-
-
 def is_even_slice_data(F, tol=1e-12):
     """Whether F(-theta, -t) = F(theta, t) holds to a relative tolerance.
 
@@ -414,19 +386,41 @@ def dual_radon(F, xprime):
     """Dual Radon transform (1/sigma_{n-1}) int F(theta, x' . theta) dtheta.
 
     The t-profiles are interpolated by a natural cubic spline through the
-    nodes, pinned to zero at t = +-1 and clamped to zero outside (-1, 1),
-    where slice data of integrable functions vanishes.  Accepts a single
-    point or an array of points (..., n).
+    nodes (`_node_spline`, the interpolant the n = 2 filters act on, so this
+    is their spatial reference), pinned to zero at t = +-1 and clamped to zero
+    outside (-1, 1), where slice data of integrable functions vanishes.  It
+    sums one direction per antipodal pair with the folded profile
+    F(theta, t) + F(-theta, -t), exact for any data (the odd part cancels).
+    The spline table is built from F's values on every call.  Accepts a
+    single point or an array of points (..., n).
     """
     if not isinstance(F, SliceData):
         raise TypeError("dual_radon expects SliceData")
     pts = np.asarray(xprime, dtype=float)
     if pts.shape[-1] != F.spec.n:
         raise ValueError("point dimension does not match the grid")
-    single = pts.ndim == 1
+    grid = F.grid
+    sel = np.arange(grid.n_ang_total) < grid.antipodal_index
+    ang = grid.ang[sel]
+    w = grid.ang_weight[sel] / sphere_area(grid.spec.n)
+    values = F.values
+    folded = values[sel] + values[grid.antipodal_index[sel]][:, ::-1]
+    x, spline = _node_spline(grid.t)
+    c = np.tensordot(spline.c, folded, axes=(2, 1))
+    rows = np.arange(ang.shape[0])[:, None]
     flat = pts.reshape(-1, pts.shape[-1])
-    out = _backproject_many(F, flat)
-    return float(out[0]) if single else out.reshape(pts.shape[:-1])
+    out = np.empty(flat.shape[0])
+    for lo in range(0, flat.shape[0], _BACKPROJECT_CHUNK):
+        S = ang @ flat[lo:lo + _BACKPROJECT_CHUNK].T
+        Sc = np.clip(S, -1.0, 1.0)
+        idx = np.clip(np.searchsorted(x, Sc, side="right") - 1, 0, len(x) - 2)
+        dx = Sc - x[idx]
+        vals = c[0, idx, rows]
+        for k in range(1, c.shape[0]):
+            vals = vals * dx + c[k, idx, rows]
+        np.multiply(vals, np.abs(S) < 1.0, out=vals)
+        out[lo:lo + _BACKPROJECT_CHUNK] = w @ vals
+    return float(out[0]) if pts.ndim == 1 else out.reshape(pts.shape[:-1])
 
 
 # -- log filter ----------------------------------------------------------------
@@ -520,22 +514,24 @@ def _funk_hecke_rule(grid):
         (1/sigma_{n-1}) int h(theta . omega) Y(theta) dtheta
             = Y(omega) sum_q wP[l, q] h(c_q)
 
-    (Funk-Hecke).  n = 2: the circle angles 2 pi q / A, q = 0..A/2, with the
-    partner A - q folded into the weight; degree m gets cos(2 pi m q / A) / A,
-    so at grid directions the mode sum is the trapezoid direction sum exactly.
-    n = 3: 2 n_t Gauss-Legendre nodes weighted by P_l(c_q) / 2 for
-    l <= n_polar - 1, the band the grid's harmonic analysis is exact for.
+    (Funk-Hecke), with wP[l, q] = w_q P_l(c_q) by `_zonal_table`.  n = 2: the
+    circle angles 2 pi q / A, q = 0..A/2, weighted 1/A with the partner A - q
+    folded into the weight, so at grid directions the mode sum is the
+    trapezoid direction sum exactly.  n = 3: 2 n_t Gauss-Legendre nodes
+    weighted w_q / 2, for l <= n_polar - 1, the band the grid's harmonic
+    analysis is exact for.
     """
-    if grid.spec.n == 2:
+    n = grid.spec.n
+    if n == 2:
         A = grid.n_ang_total
         q = np.arange(A // 2 + 1)
         c = _symmetrize(np.cos(2.0 * np.pi * q / A))
-        fold = np.where((q == 0) | (2 * q == A), 1.0, 2.0) / A
-        wP = np.cos(2.0 * np.pi * (np.outer(q, q) % A) / A) * fold
+        w = np.where((q == 0) | (2 * q == A), 1.0, 2.0) / A
     else:
         c, w = roots_legendre(2 * grid.spec.n_t)
         c = _symmetrize(c)
-        wP = _legendre_table(grid.n_polar - 1, c) * (0.5 * w)
+        w = 0.5 * w
+    wP = _zonal_table(n, _kernel_degree(grid), c) * w
     c.setflags(write=False)
     wP.setflags(write=False)
     return c, wP

@@ -49,6 +49,10 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     cfg.write_text(json.dumps({"method": "john", "infile": "x.vsl", "resolution": 96}))
     assert cli(["invert", "--config", str(cfg)]) == 2
     assert "resolution" in capsys.readouterr().err
+    # config values skip argparse's choices, so the handlers check them too
+    cfg.write_text(json.dumps({"phantom": "nope", "n": 2, "out": out}))
+    assert cli(["forward", "--config", str(cfg)]) == 2
+    assert "--phantom must be one of" in capsys.readouterr().err
 
 
 def test_missing_input_exits_1(tmp_path, capsys):
@@ -141,6 +145,16 @@ def test_config_mirrors_flags(artifacts, tmp_path, capsys):
     # explicit flags win over the config
     assert cli(["forward", "--config", str(cfg), "--out", str(tmp_path / "o2.vsl")]) == 0
     assert (tmp_path / "o2.vsl").read_bytes() == sino.read_bytes()
+
+    # configs may carry the package's JSON schema version, and no other
+    body = json.loads(cfg.read_text())
+    cfg.write_text(json.dumps(dict(body, schema_version=1, out=str(tmp_path / "v1.vsl"))))
+    assert cli(["forward", "--config", str(cfg)]) == 0
+    assert (tmp_path / "v1.vsl").read_bytes() == sino.read_bytes()
+    cfg.write_text(json.dumps(dict(body, schema_version=2, out=str(tmp_path / "v2.vsl"))))
+    assert cli(["forward", "--config", str(cfg)]) == 2
+    assert "schema version" in capsys.readouterr().err
+    assert not (tmp_path / "v2.vsl").exists()
 
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"bogus_key": 1}))

@@ -125,6 +125,26 @@ def test_forward_maps_basis_to_basis(g2):
 
 
 @pytest.mark.parametrize(
+    "spec, indices",
+    [
+        (GridSpec(2, 8, 200, 32), [(0, 1, 160), (0, 1, 190)]),
+        (GridSpec(3, 4, 120, 32), [(0, 1, 96), (0, 1, 110)]),
+    ],
+)
+def test_singular_relation_past_default_slice_rule(spec, indices):
+    # radial degrees past what the evaluator's slice rule integrates exactly
+    # (160 chords, 48 disk radii): the sampled forward's rule grows with
+    # n_radial, so every index the grid resolves stays exact
+    g = make_grid(spec)
+    lam = spec.n / 2.0
+    for nu in map(SvdIndex._make, indices):
+        s = svd_constants(spec.n, lam, nu).s_nu
+        F = vslice_forward(sphere_basis_grid(nu, lam, g))
+        want = s * slice_basis_grid(nu, lam, g).values
+        assert np.max(np.abs(F.values - want)) <= 1e-11 * s
+
+
+@pytest.mark.parametrize(
     "spec, lam, indices",
     [
         (GridSpec(2, 16, 8, 16), 1.0, [(0, 1, 0), (3, 2, 2), (6, 1, 1)]),

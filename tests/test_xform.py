@@ -263,6 +263,14 @@ def test_dual_radon_constant(g2):
     assert dual_radon(F, (0.2, 0.1)) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_dual_radon_reads_current_values(g2):
+    # no table is kept on the container, so rebinding its samples is seen
+    F = SliceData(g2, np.ones((g2.n_ang_total, 128)))
+    assert dual_radon(F, (0.2, 0.1)) == pytest.approx(1.0, abs=1e-12)
+    F.smooth = np.zeros_like(F.smooth)
+    assert dual_radon(F, (0.2, 0.1)) == 0.0
+
+
 def test_is_even_slice_data(g2):
     even = SliceData(g2, np.ones((g2.n_ang_total, 128)))
     assert is_even_slice_data(even)
