@@ -6,10 +6,10 @@ harmonics times Jacobi polynomials in |x'|^2) onto a matching orthonormal
 family on the slice cylinder (spherical harmonics times Gegenbauer
 polynomials in t), scaling member nu by the singular value s_nu.  Expanding
 slice data in the cylinder family and dividing by s_nu therefore inverts the
-transform on any fixed band of indices.  On a grid, every member is a column
-of the cached harmonic table `xform._sh_basis` times a radial or t profile,
-so each expansion is one harmonic analysis of the whole array and each sum
-one synthesis.
+transform on any fixed band of indices.  On a grid, every member is a real
+spherical harmonic, one scaled entry of the coefficients of `xform._analyse`,
+times a radial or t profile, so each expansion is one harmonic analysis of
+the whole array and each sum one synthesis.
 """
 
 from dataclasses import dataclass, field
@@ -25,7 +25,7 @@ from .specfun import (
     sph_harm,
     svd_constants,
 )
-from .xform import _sh_basis
+from .xform import _analyse, _kernel_degree, _synthesise
 
 
 def svd_index_set(n, band):
@@ -98,17 +98,24 @@ def slice_singular_function(nu, lam, theta, t):
 
 
 def _columns(grid, indices):
-    """The columns of the harmonic table `_sh_basis` for the indices' Y_{m,mu},
-    shape (n_ang_total, len(indices)); degrees past the table are rejected."""
-    Y, degs = _sh_basis(grid)
-    cols = []
+    """Arrays (degree, column, scale) placing each index's Y_{m,mu} at scale *
+    coef[m, :, column] in `_analyse`'s coefficients: column mu - 1 at n = 2 and
+    mu - [mu = 1] at n = 3; scale step/sqrt(pi) for the azimuthal step, negated
+    on sines, or step/sqrt(2 pi) at order 0.  Degrees past `_kernel_degree`,
+    less the n = 2 mode A/2 (it has no sine), alias and are rejected."""
+    n = grid.spec.n
+    top = _kernel_degree(grid) - (n == 2)
+    step = 2.0 * np.pi / (grid.n_ang_total if n == 2 else grid.n_azim)
+    rows = []
     for m, mu, _ in indices:
-        if m > degs[-1]:
-            raise ValueError(f"index degree m = {m} exceeds {degs[-1]}, the most the grid resolves")
-        if not 1 <= mu <= harmonic_dim(grid.spec.n, m):
+        if m > top:
+            raise ValueError(f"degree m = {m} exceeds {top}, the most the angular grid resolves")
+        if not 1 <= mu <= harmonic_dim(n, m):
             raise ValueError(f"harmonic index mu = {mu} out of range for degree m = {m}")
-        cols.append(np.searchsorted(degs, m) + mu - 1)
-    return Y[:, cols]
+        col, order = (mu - 1, m) if n == 2 else (mu - (mu == 1), mu // 2)
+        rows.append((m, col, (-1) ** col * step / np.sqrt(np.pi if order else 2.0 * np.pi)))
+    degs, cols, scales = np.reshape(rows, (-1, 3)).T
+    return degs.astype(int), cols.astype(int), scales
 
 
 def _profiles(profile, indices, lam, n, x):
@@ -119,13 +126,17 @@ def _profiles(profile, indices, lam, n, x):
 def _analysis(grid, smooth, indices, profiles, w):
     """Per index, sum_{a,i} ang_weight_a Y_nu(theta_a) smooth[a, i] profile_nu[i] w_i:
     one harmonic analysis of the samples, then each member's profile."""
-    coef = (_columns(grid, indices) * grid.ang_weight[:, None]).T @ smooth
-    return np.einsum("ni,ni,i->n", coef, profiles, w)
+    degs, cols, scales = _columns(grid, indices)
+    return scales * np.einsum("ni,ni,i->n", _analyse(grid, smooth)[degs, :, cols], profiles, w)
 
 
 def _synthesis(grid, indices, amplitudes, profiles):
     """Samples of sum_nu amplitude_nu Y_nu profile_nu: one harmonic synthesis."""
-    return _columns(grid, indices) @ (np.asarray(amplitudes, dtype=float)[:, None] * profiles)
+    degs, cols, scales = _columns(grid, indices)
+    L = _kernel_degree(grid) + 1
+    coef = np.zeros((L, profiles.shape[1], 2 if grid.spec.n == 2 else 2 * L))
+    np.add.at(coef, (degs, slice(None), cols), (amplitudes / scales)[:, None] * profiles)
+    return _synthesise(grid, coef)
 
 
 def sphere_basis_grid(nu, lam, grid):
@@ -134,7 +145,7 @@ def sphere_basis_grid(nu, lam, grid):
     Samples only, with no evaluator, so `vslice_forward` takes the harmonic
     path.  That path is exact on these samples when the grid resolves the
     index: m < n_angular / 2 at n = 2 and m < n_angular (the polar count) at
-    n = 3, which the harmonic table enforces, and m // 2 + k < n_radial,
+    n = 3, which `_columns` enforces, and m // 2 + k < n_radial,
     which `make_phantom` enforces.
     """
     return synthesize_sphere(SpectralCoeffs(lam, [SvdIndex(*nu)], [1.0]), grid)
@@ -172,9 +183,8 @@ class SpectralCoeffs:
 
 
 def _check_band(grid, band):
-    """Reject bands the grid cannot expand over exactly: the t rule needs
-    m + 2k <= (n_t - 2) // 2, and the angular quadrature m up to the
-    degree of `_sh_basis`, past which it aliases one harmonic onto another."""
+    """Reject bands past the t rule's exact degree, m + 2k <= (n_t - 2) // 2;
+    `_columns` rejects degrees m past the angular quadrature's."""
     if band < 0:
         raise ValueError("band must be >= 0")
     limit = (grid.spec.n_t - 2) // 2
@@ -182,9 +192,6 @@ def _check_band(grid, band):
         raise ValueError(
             f"band {band} too high for {grid.spec.n_t} t-nodes (max {limit})"
         )
-    lmax = _sh_basis(grid)[1][-1]
-    if band > lmax:
-        raise ValueError(f"band {band} too high for the angular grid (max {lmax})")
 
 
 def analyze(F, lam=None, band=8):

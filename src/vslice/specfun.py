@@ -97,26 +97,23 @@ def harmonic_dim(n, m):
 
 
 def _norm_assoc_legendre(l, j, c):
-    """Normalized associated Legendre Pbar_l^j(c), no Condon-Shortley phase.
+    """Normalized associated Legendre Pbar_i^j(c) for i = j, ..., l in turn.
 
-    Normalized so that integral of Pbar^2 over c in (-1,1) equals 1.
-    Stable upward recurrence, vectorized in c.
+    No Condon-Shortley phase; normalized so that integral of Pbar^2 over c in
+    (-1,1) equals 1.  Stable upward recurrence, vectorized in c.
     """
-    c = np.asarray(c, dtype=float)
     s = np.sqrt(np.clip(1.0 - c * c, 0.0, None))
-    # seed: Pbar_j^j
+    # seed: Pbar_j^j, and Pbar_(j-1)^j = 0
     p = np.full_like(c, 1.0 / math.sqrt(2.0))
     for i in range(1, j + 1):
         p = math.sqrt((2.0 * i + 1.0) / (2.0 * i)) * s * p
-    if l == j:
-        return p
-    p_prev = p
-    p = math.sqrt(2.0 * j + 3.0) * c * p_prev
-    for i in range(j + 2, l + 1):
+    p_prev = 0.0
+    yield p
+    for i in range(j + 1, l + 1):
         a = math.sqrt((4.0 * i * i - 1.0) / (i * i - j * j))
         b = math.sqrt(((i - 1.0) ** 2 - j * j) / (4.0 * (i - 1.0) ** 2 - 1.0))
         p, p_prev = a * (c * p - b * p_prev), p
-    return p
+        yield p
 
 
 def sph_harm(n, m, mu, point):
@@ -149,12 +146,14 @@ def sph_harm(n, m, mu, point):
     elif n == 3:
         c = np.clip(pt[..., 2], -1.0, 1.0)
         beta = np.arctan2(pt[..., 1], pt[..., 0])
+        j = mu // 2
+        for p in _norm_assoc_legendre(m, j, c):
+            pass
         if mu == 1:
-            out = _norm_assoc_legendre(m, 0, c) / math.sqrt(2.0 * math.pi)
+            out = p / math.sqrt(2.0 * math.pi)
         else:
-            j = mu // 2
             trig = np.cos(j * beta) if mu % 2 == 0 else np.sin(j * beta)
-            out = _norm_assoc_legendre(m, j, c) * trig / math.sqrt(math.pi)
+            out = p * trig / math.sqrt(math.pi)
     else:
         raise ValueError("only n = 2 and n = 3 are supported")
     return out if out.ndim else float(out)

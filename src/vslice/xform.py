@@ -19,12 +19,13 @@ instead.  By Funk-Hecke a degree-l harmonic integrated over a slice, or
 backprojected, picks up the zonal polynomial of a cosine (`_zonal_table`:
 T_l at n = 2, Legendre P_l at n = 3), so the forward and the backprojection
 of t-filtered profiles are one radial matrix per harmonic degree, which
-`_harmonic_apply` applies between one harmonic analysis and one synthesis.
-The forward's matrix (`_forward_kernel`) folds the slice rule and the
-radial interpolation in u = r^2; its rule grows with n_radial, so it is
-exact for every band-limited sample the grid resolves.  ``vslice_direct``
-quadratures the slice integral from scratch in a different chart and serves
-as the independent oracle.
+`_harmonic_apply` applies between `_analyse` (an azimuthal rFFT, then a
+Legendre sum per order at n = 3; svd's expansions use it too) and
+`_synthesise`.  The forward's matrix (`_forward_kernel`) folds the slice
+rule and the radial interpolation in u = r^2; its rule grows with n_radial,
+so it is exact for every band-limited sample the grid resolves.
+``vslice_direct`` quadratures the slice integral from scratch in a different
+chart and serves as the independent oracle.
 
 Also here: the dual (backprojection) operator `dual_radon`, the spatial
 oracle, and the t-filter kernels of the filtered routes: `john` and `ac`
@@ -41,7 +42,7 @@ from scipy.interpolate import CubicSpline
 from scipy.special import roots_jacobi, roots_legendre
 
 from .grid import SliceData, SphereFunction, _symmetrize
-from .specfun import harmonic_dim, sph_harm, sphere_area
+from .specfun import _norm_assoc_legendre, sphere_area
 
 # Radial node counts of the slice rule by n: chords at n = 2, disk radii at
 # n = 3.  The rule is spectrally accurate but compactly supported bumps
@@ -72,20 +73,15 @@ def _jacobi_rule(npts, a, b):
     return x, w
 
 
-def _barycentric_matrix(nodes, query):
+def _barycentric_matrix(grid, query):
     """Matrix B with (B @ samples) the polynomial interpolant of the samples
-    on `nodes`, evaluated at `query` points.
-
-    Node differences are rescaled by 4/span before the weight product so the
-    barycentric weights stay in floating range for ~100 nodes.
-    """
-    nodes = np.asarray(nodes, dtype=float)
-    query = np.asarray(query, dtype=float)
-    scale = 4.0 / (nodes.max() - nodes.min())
-    diff = (nodes[:, None] - nodes[None, :]) * scale
-    np.fill_diagonal(diff, 1.0)
-    w = 1.0 / np.prod(diff, axis=1)
-    d = query[:, None] - nodes[None, :]
+    at the radial nodes u, evaluated at `query` points.  Their barycentric
+    weights are (-1)^j sqrt(u_j (1 - u_j) lambda_j) in the Gauss-Jacobi
+    weights lambda_j (Wang, Huybrechs & Vandewalle, Math. Comp. 83, 2014),
+    so nothing overflows, unlike a product of node differences."""
+    u = grid.u
+    w = (-1.0) ** np.arange(u.size) * np.sqrt(u * (1.0 - u) * grid._radial_base)
+    d = query[:, None] - u[None, :]
     hit = d == 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         c = w[None, :] / d
@@ -99,20 +95,41 @@ def _barycentric_matrix(nodes, query):
 
 
 @lru_cache(maxsize=8)
-def _sh_basis(grid):
-    """Real spherical harmonics on the angular nodes, (A, n_lm), and their
-    ascending degrees, both read-only.  The degrees run to n_angular/2 - 1 at
-    n = 2 and n_polar - 1 at n = 3, the band on which the grid's quadrature
-    analyses exactly (a product of two such harmonics stays within its
-    degree of exactness)."""
-    n = grid.spec.n
-    lmax = grid.n_ang_total // 2 - 1 if n == 2 else grid.n_polar - 1
-    nus = [(l, mu) for l in range(lmax + 1) for mu in range(1, harmonic_dim(n, l) + 1)]
-    Y = np.stack([sph_harm(n, l, mu, grid.ang) for l, mu in nus], axis=1)
-    degs = np.array([l for l, _ in nus])
-    Y.setflags(write=False)
-    degs.setflags(write=False)
-    return Y, degs
+def _legendre_table(grid):
+    """P[j, l, p] = Pbar_l^j at the n = 3 polar node c_p (0 for l < j), read-only."""
+    L = grid.n_polar
+    P = np.zeros((L, L, L))
+    for j in range(L):
+        P[j, j:] = list(_norm_assoc_legendre(L - 1, j, grid.polar_cos))
+    P.setflags(write=False)
+    return P
+
+
+def _analyse(grid, values):
+    """Real harmonic coefficients (degrees, k, 2 orders) of `values`
+    (n_ang_total, k): re and im of azimuthal rFFT order j in columns 2j, 2j + 1,
+    one order (mode l) per degree at n = 2.  At n = 3 the weighted rFFT of each
+    polar ring is summed against Pbar_l^j per order j, the semi-naive transform
+    (Driscoll & Healy, Adv. Appl. Math. 15, 1994), exact to degree n_polar - 1."""
+    if grid.spec.n == 2:
+        modes = np.fft.rfft(values, axis=0)
+        return np.stack([modes.real, modes.imag], axis=-1)
+    L, k = grid.n_polar, values.shape[1]
+    rings = values.reshape(L, 2 * L, k) * grid.polar_weight[:, None, None]
+    modes = np.fft.rfft(rings, axis=1)[:, :L].transpose(1, 0, 2)
+    coef = _legendre_table(grid) @ np.ascontiguousarray(modes).view(float)
+    return coef.reshape(L, L, k, 2).transpose(1, 2, 0, 3).reshape(L, k, 2 * L)
+
+
+def _synthesise(grid, coef):
+    """Samples (n_ang_total, k) of the harmonics with coefficients `coef`, laid
+    out as `_analyse` returns them; the inverse of `_analyse` on its band."""
+    if grid.spec.n == 2:
+        return np.fft.irfft(coef[..., 0] + 1j * coef[..., 1], n=grid.n_ang_total, axis=0)
+    L, k = grid.n_polar, coef.shape[1]
+    G = coef.reshape(L, k, L, 2).transpose(2, 0, 1, 3).reshape(L, L, 2 * k)
+    rings = (_legendre_table(grid).transpose(0, 2, 1) @ G).view(complex)
+    return np.fft.irfft(rings.transpose(1, 0, 2), n=2 * L, axis=1).reshape(-1, k)
 
 
 def _zonal_table(n, lmax, x):
@@ -132,7 +149,7 @@ def _zonal_table(n, lmax, x):
 
 def _kernel_degree(grid):
     """Top degree of the radial kernels `_harmonic_apply` takes: the last rFFT
-    mode A/2 at n = 2, the band `_sh_basis` analyses, n_polar - 1, at n = 3."""
+    mode A/2 at n = 2, the band `_analyse` resolves, n_polar - 1, at n = 3."""
     return grid.n_ang_total // 2 if grid.spec.n == 2 else grid.n_polar - 1
 
 
@@ -140,23 +157,11 @@ def _harmonic_apply(grid, values, K):
     """Apply K[l], a matrix per angular harmonic degree l, to the harmonics of
     `values` (n_ang_total, K.shape[2]); returns (n_ang_total, K.shape[1]).
 
-    The package's one angular operator: analysis (an rFFT over angles at
-    n = 2, K then having A/2 + 1 degrees; `_sh_basis` at n = 3), K per
-    degree, synthesis.  The sampled forward passes `_forward_kernel`; `john`
-    and `ac` pass `_filter_kernel`, since -Delta R*g = R*(-g''); `hs` passes
-    its annulus kernel.
+    The package's one angular operator, K acting on every order of a degree
+    at once.  The sampled forward passes `_forward_kernel`; `john` and `ac`
+    pass `_filter_kernel`, since -Delta R*g = R*(-g''); `hs` its annulus kernel.
     """
-    if grid.spec.n == 2:
-        modes = np.fft.rfft(values, axis=0)
-        out = K @ np.stack([modes.real, modes.imag], axis=-1)
-        return np.fft.irfft(out[..., 0] + 1j * out[..., 1], n=grid.n_ang_total, axis=0)
-    Y, degs = _sh_basis(grid)
-    coef = (Y * grid.ang_weight[:, None]).T @ values
-    out = np.empty((coef.shape[0], K.shape[1]))
-    for l, Kl in enumerate(K):
-        rows = degs == l
-        out[rows] = coef[rows] @ Kl.T
-    return Y @ out
+    return _synthesise(grid, K @ _analyse(grid, values))
 
 
 def _frames(theta):
@@ -275,7 +280,7 @@ def _forward_kernel(grid, exponent):
     Z *= w
     K = np.empty((lmax + 1, grid.spec.n_t, grid.spec.n_radial))
     for j in range(grid.spec.n_t):
-        K[:, j] = Z[:, j] @ _barycentric_matrix(grid.u, rho2[j])
+        K[:, j] = Z[:, j] @ _barycentric_matrix(grid, rho2[j])
     K[odd] /= grid.r
     K.setflags(write=False)
     return K
@@ -559,12 +564,11 @@ def _filter_kernel(grid, exponent):
     """The radial kernel of john's t-filter for plane data with boundary
     exponent `exponent`: -d^2/ds^2 for n = 3, where the exponent enters, and
     -d^2/ds^2 of the log convolution for n = 2, where it does not (pass None,
-    so one kernel serves every exponent); sampled one radius at a time."""
-    if grid.spec.n == 2:
-        rows = [_log_filter_matrix(grid.t, s) for s in _kernel_offsets(grid)]
-    else:
-        rows = [_plane_filter_matrix(grid.t, s, exponent) for s in _kernel_offsets(grid)]
-    return _radial_kernel(grid, np.stack(rows))
+    so one kernel serves every exponent); sampled at every offset in one call."""
+    s = _kernel_offsets(grid)
+    M = (_log_filter_matrix(grid.t, s.ravel()) if grid.spec.n == 2
+         else _plane_filter_matrix(grid.t, s.ravel(), exponent))
+    return _radial_kernel(grid, M.reshape(s.shape + (-1,)))
 
 
 # -- spherical means -----------------------------------------------------------

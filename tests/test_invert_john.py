@@ -9,7 +9,7 @@ from vslice.harness import Phantom, compare, make_phantom
 from vslice.invert_hs import invert_hypersingular
 from vslice.invert_john import invert_john
 from vslice.invert_svd import sphere_basis_grid, svd_index_set
-from vslice.specfun import method_constants, sphere_area
+from vslice.specfun import SvdIndex, method_constants, sphere_area
 from vslice.xform import _filter_kernel, _log_filter_matrix
 
 SPEC2 = GridSpec(2, 128, 48, 64)
@@ -154,6 +154,17 @@ def test_odd_inverts_basis_exactly():
     # grid resolves
     g = make_grid(SPEC3)
     for nu in svd_index_set(3, 6):
+        eta = sphere_basis_grid(nu, 1.5, g)
+        rec = invert_john(vslice_forward(eta))
+        scale = np.max(np.abs(eta.values))
+        assert np.max(np.abs(rec.values - eta.values)) <= 1e-11 * scale, nu
+
+
+def test_odd_inverts_basis_exactly_at_128_polar_nodes():
+    # the harmonic transform's table grows like n_polar^3, so a fine polar
+    # grid costs a fraction of a second
+    g = make_grid(GridSpec(3, 128, 24, 32))
+    for nu in (SvdIndex(5, 7, 2), SvdIndex(20, 41, 1)):
         eta = sphere_basis_grid(nu, 1.5, g)
         rec = invert_john(vslice_forward(eta))
         scale = np.max(np.abs(eta.values))

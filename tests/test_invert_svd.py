@@ -14,7 +14,9 @@ from vslice.grid import (
 )
 from vslice.invert_svd import (
     SpectralCoeffs,
+    _analysis,
     _eta_smooth_at,
+    _synthesis,
     analyze,
     reconstruct,
     slice_basis_grid,
@@ -27,7 +29,7 @@ from vslice.invert_svd import (
     synthesize_forward,
     synthesize_sphere,
 )
-from vslice.specfun import SvdIndex, harmonic_dim, svd_constants
+from vslice.specfun import SvdIndex, harmonic_dim, sph_harm, svd_constants
 
 
 @pytest.fixture(scope="module")
@@ -129,12 +131,16 @@ def test_forward_maps_basis_to_basis(g2):
     [
         (GridSpec(2, 8, 200, 32), [(0, 1, 160), (0, 1, 190)]),
         (GridSpec(3, 4, 120, 32), [(0, 1, 96), (0, 1, 110)]),
+        (GridSpec(2, 8, 1200, 32), [(0, 1, 2), (2, 1, 5)]),
+        (GridSpec(3, 4, 1200, 32), [(0, 1, 2), (2, 1, 5)]),
     ],
 )
 def test_singular_relation_past_default_slice_rule(spec, indices):
     # radial degrees past what the evaluator's slice rule integrates exactly
     # (160 chords, 48 disk radii): the sampled forward's rule grows with
-    # n_radial, so every index the grid resolves stays exact
+    # n_radial, so every index the grid resolves stays exact; at 1200 radial
+    # nodes a product of node differences would overflow in the barycentric
+    # weights of the radial interpolation, so they are in closed form
     g = make_grid(spec)
     lam = spec.n / 2.0
     for nu in map(SvdIndex._make, indices):
@@ -142,6 +148,28 @@ def test_singular_relation_past_default_slice_rule(spec, indices):
         F = vslice_forward(sphere_basis_grid(nu, lam, g))
         want = s * slice_basis_grid(nu, lam, g).values
         assert np.max(np.abs(F.values - want)) <= 1e-11 * s
+
+
+@pytest.mark.parametrize(
+    "spec", [GridSpec(2, 16, 4, 8), GridSpec(3, 8, 4, 8), GridSpec(3, 128, 4, 8)]
+)
+def test_harmonic_layout_matches_sph_harm(spec):
+    # each real harmonic, up to the top degree the grid resolves, sits where
+    # `_columns` says in the coefficients of the rFFT (plus Legendre) transform
+    g = make_grid(spec)
+    top = spec.n_angular // 2 - 1 if spec.n == 2 else spec.n_angular - 1
+    mus = (lambda m: {1, 2}) if spec.n == 2 else (lambda m: {1, 2, 3, m + m % 2, 2 * m, 2 * m + 1})
+    idx = [
+        SvdIndex(m, mu, 0)
+        for m in sorted({0, 1, 2, top // 2, top - 1, top})
+        for mu in sorted(mus(m))
+        if 1 <= mu <= harmonic_dim(spec.n, m)
+    ]
+    Y = np.stack([sph_harm(spec.n, m, mu, g.ang) for m, mu, _ in idx], axis=1)
+    one = np.ones(len(idx))
+    eye = np.eye(len(idx))
+    assert np.max(np.abs(_synthesis(g, idx, one, eye) - Y)) <= 1e-12 * np.max(np.abs(Y))
+    assert np.max(np.abs(_analysis(g, Y, idx, eye, one) - 1.0)) <= 1e-12
 
 
 @pytest.mark.parametrize(

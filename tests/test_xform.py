@@ -25,6 +25,7 @@ from vslice import (
     vslice_direct,
     vslice_forward,
 )
+from vslice import invert_hs, xform
 from vslice.invert_hs import _annulus_kernel
 from vslice.specfun import sphere_area
 from vslice.xform import (
@@ -35,10 +36,10 @@ from vslice.xform import (
     _frames,
     _funk_hecke_rule,
     _jacobi_rule,
+    _legendre_table,
     _log_filter_matrix,
     _log_moment_matrix,
     _plane_filter_matrix,
-    _sh_basis,
     _slice_quadrature,
 )
 
@@ -492,8 +493,7 @@ def test_cached_arrays_are_read_only():
     cached = [
         *grid_arrays,
         *_jacobi_rule(8, 0.5, 0.5),
-        *_sh_basis(small2),
-        *_sh_basis(small3),
+        _legendre_table(small3),
         *_funk_hecke_rule(small2),
         *_funk_hecke_rule(small3),
         _filter_kernel(small2, None),
@@ -505,6 +505,13 @@ def test_cached_arrays_are_read_only():
     for a in cached:
         with pytest.raises(ValueError, match="read-only"):
             a[(0,) * a.ndim] = 1.0
+    # a new cache in either module must join the list above
+    covered = {
+        _jacobi_rule, _legendre_table, _funk_hecke_rule, _filter_kernel,
+        _forward_kernel, _annulus_kernel,
+    }
+    caches = {f for m in (xform, invert_hs) for f in vars(m).values() if hasattr(f, "cache_info")}
+    assert caches <= covered, sorted(f.__name__ for f in caches - covered)
 
 
 def test_log_kernel_identity():
