@@ -11,7 +11,7 @@ rule built for exactly that power.
 import math
 import numbers
 from dataclasses import asdict, dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
@@ -54,6 +54,14 @@ def default_spec(n):
     if n == 3:
         return GridSpec(3, 32, 48, 64)
     raise ValueError("only n = 2 and n = 3 are supported")
+
+
+def _read_only(out):
+    """out, an array or a tuple of arrays, marked read-only: the package's
+    memos return it through this, since they hand it to every caller."""
+    for a in out if isinstance(out, tuple) else (out,):
+        a.setflags(write=False)
+    return out
 
 
 def _symmetrize(x):
@@ -145,105 +153,61 @@ class Grid:
         self.t = _symmetrize(np.cos((2.0 * np.arange(M) + 1.0) * np.pi / (2.0 * M))[::-1])
 
         # every kernel cache is keyed on the memoized grid, so its nodes are fixed
-        for a in vars(self).values():
-            if isinstance(a, np.ndarray):
-                a.setflags(write=False)
-
-        self._radial_w = {}
-        self._t_w = {}
-        self._bfac = {}
+        _read_only(tuple(a for a in vars(self).values() if isinstance(a, np.ndarray)))
 
     # -- weight families -------------------------------------------------
 
+    @lru_cache(maxsize=64)
     def radial_weights(self, extra=0.0):
         """Weights w with sum w[i] h(u[i]) = int_0^1 h(r^2) (1-r^2)^extra r^(n-1) dr.
 
-        Exact for polynomial h up to degree n_radial - 1; requires extra > -1.
+        Exact for polynomial h up to degree n_radial - 1; requires -1 < extra < inf.
         """
         extra = float(extra)
-        if extra <= -1.0:
-            raise ValueError("radial weight exponent must exceed -1")
-        w = self._radial_w.get(extra)
-        if w is None:
-            if extra == 0.0:
-                w = self._radial_base * (1.0 - self.u) ** extra
-            else:
-                n = self.spec.n
-                b = (n - 2) / 2.0
-                total = 0.5 * math.exp(
-                    log_gamma(extra + 1.0) + log_gamma(b + 1.0) - log_gamma(extra + b + 2.0)
-                )
-                w = _exact_weights(2.0 * self.u - 1.0, extra, b, total)
-            w.setflags(write=False)
-            self._radial_w[extra] = w
-        return w
+        if not (math.isfinite(extra) and extra > -1.0):
+            raise ValueError("radial weight exponent must be finite and exceed -1")
+        if extra == 0.0:
+            return self._radial_base
+        b = (self.spec.n - 2) / 2.0
+        total = 0.5 * math.exp(
+            log_gamma(extra + 1.0) + log_gamma(b + 1.0) - log_gamma(extra + b + 2.0)
+        )
+        return _read_only(_exact_weights(2.0 * self.u - 1.0, extra, b, total))
 
+    @lru_cache(maxsize=64)
     def t_weights(self, extra=0.0):
         """Weights w with sum w[j] h(t[j]) = int_{-1}^{1} h(t) (1-t^2)^extra dt.
 
-        Exact for polynomial h up to degree n_t - 1; requires extra > -1.
+        Exact for polynomial h up to degree n_t - 1; requires -1 < extra < inf.
         The t nodes are the Gauss-Chebyshev nodes, so at extra = -1/2 the
         rule's own weights pi/n_t are returned, exact and bitwise symmetric;
         every other exponent solves for the weights on the fixed nodes.
         """
         extra = float(extra)
-        if extra <= -1.0:
-            raise ValueError("t weight exponent must exceed -1")
-        w = self._t_w.get(extra)
-        if w is None:
-            if extra == -0.5:
-                w = np.full(self.spec.n_t, np.pi / self.spec.n_t)
-            else:
-                total = math.sqrt(math.pi) * math.exp(
-                    log_gamma(extra + 1.0) - log_gamma(extra + 1.5)
-                )
-                w = _exact_weights(self.t, extra, extra, total)
-            w.setflags(write=False)
-            self._t_w[extra] = w
-        return w
-
-    def boundary_factor(self, exponent, axis="radial"):
-        """(1-u)^exponent on radial nodes, or (1-t^2)^exponent on t nodes."""
-        key = (axis, float(exponent))
-        f = self._bfac.get(key)
-        if f is None:
-            if axis == "radial":
-                f = (1.0 - self.u) ** exponent
-            else:
-                f = (1.0 - self.t * self.t) ** exponent
-            f.setflags(write=False)
-            self._bfac[key] = f
-        return f
+        if not (math.isfinite(extra) and extra > -1.0):
+            raise ValueError("t weight exponent must be finite and exceed -1")
+        if extra == -0.5:
+            return _read_only(np.full(self.spec.n_t, np.pi / self.spec.n_t))
+        total = math.sqrt(math.pi) * math.exp(log_gamma(extra + 1.0) - log_gamma(extra + 1.5))
+        return _read_only(_exact_weights(self.t, extra, extra, total))
 
     # -- node geometry ----------------------------------------------------
 
-    @property
+    @cached_property
     def ball_points(self):
         """Chart nodes x' in B_n, shape (n_ang_total, n_radial, n)."""
-        pts = getattr(self, "_ball_points", None)
-        if pts is None:
-            pts = self.ang[:, None, :] * self.r[None, :, None]
-            pts.setflags(write=False)
-            self._ball_points = pts
-        return pts
+        return _read_only(self.ang[:, None, :] * self.r[None, :, None])
 
-    @property
+    @cached_property
     def antipodal_index(self):
         """Permutation p of angular indices with ang[p] = -ang (exact)."""
-        p = getattr(self, "_antipodal", None)
-        if p is None:
-            if self.spec.n == 2:
-                A = self.n_ang_total
-                p = (np.arange(A) + A // 2) % A
-            else:
-                i = np.arange(self.n_polar)[:, None]
-                j = np.arange(self.n_azim)[None, :]
-                p = (
-                    (self.n_polar - 1 - i) * self.n_azim + (j + self.n_azim // 2) % self.n_azim
-                ).ravel()
-            p.setflags(write=False)
-            self._antipodal = p
-        return p
+        if self.spec.n == 2:
+            A = self.n_ang_total
+            return _read_only((np.arange(A) + A // 2) % A)
+        i = np.arange(self.n_polar)[:, None]
+        j = np.arange(self.n_azim)[None, :]
+        p = (self.n_polar - 1 - i) * self.n_azim + (j + self.n_azim // 2) % self.n_azim
+        return _read_only(p.ravel())
 
     def __eq__(self, other):
         return isinstance(other, Grid) and self.spec == other.spec
@@ -345,7 +309,7 @@ class _BallChart(_ChartFunction):
         return (grid.n_ang_total, grid.spec.n_radial)
 
     def _factor(self):
-        return self.grid.boundary_factor(self.boundary_exponent, "radial")
+        return (1.0 - self.grid.u) ** self.boundary_exponent
 
     @classmethod
     def from_function(cls, grid, fn, boundary_exponent=0.0):
@@ -372,7 +336,7 @@ class SliceData(_ChartFunction):
         return (grid.n_ang_total, grid.spec.n_t)
 
     def _factor(self):
-        return self.grid.boundary_factor(self.boundary_exponent, "t")
+        return (1.0 - self.grid.t * self.grid.t) ** self.boundary_exponent
 
 
 # -- chart maps -------------------------------------------------------------
@@ -429,8 +393,8 @@ def inner_product_slices(A, B, weight="w", lam=None):
     n = A.grid.spec.n
     if lam is None:
         lam = n / 2.0
-    if lam <= n / 2.0 - 1.0:
-        raise ValueError("need lam > n/2 - 1")
+    if not (math.isfinite(lam) and lam > n / 2.0 - 1.0):
+        raise ValueError("need a finite lam > n/2 - 1")
     if weight == "w":
         p = 0.5 - lam
     elif weight == "w_tilde":

@@ -194,7 +194,7 @@ class ValidationReport:
 def _rebase(f, exponent):
     if f.boundary_exponent == exponent:
         return f
-    factor = f.grid.boundary_factor(f.boundary_exponent - exponent, "radial")
+    factor = (1.0 - f.grid.u) ** (f.boundary_exponent - exponent)
     return SphereFunction(f.grid, f.smooth * factor, exponent)
 
 

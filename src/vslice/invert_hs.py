@@ -26,10 +26,10 @@ from scipy import fft
 from scipy.ndimage import map_coordinates  # noqa: F401
 from scipy.special import j0, roots_legendre
 
-from .grid import BallFunction, project
+from .grid import BallFunction, _read_only, project
 from .invert_john import _plane_data
 from .specfun import method_constants
-from .xform import _harmonic_apply, _kernel_offsets, _node_spline, _radial_kernel
+from .xform import _harmonic_apply, _kernel_offsets, _node_spline, _radial_kernel, _spline
 
 DEFAULT_EPS = 4.0 * 1.3 / 383  # 0.01358, the inner radius the hs figures are quoted at
 PANEL_NODES = 8  # Gauss-Legendre nodes per geometric radial panel
@@ -64,10 +64,10 @@ def _annulus_kernel(grid, eps, r_max, tail_correction):
     """The radial kernel (`xform._radial_kernel`) of the annulus multiplier.
 
     The profile of each node's cardinal function is the natural spline of
-    `_node_spline`, zero outside [-1, 1], sampled on a periodic grid of step
-    STEP.  Radii below FAR_RADIUS act through J0 with one real FFT per
-    column; the period exceeds FAR_RADIUS + 2, so no periodic copy of a
-    profile reaches an offset inside the unit ball.  Each larger radius rho
+    `_node_spline`, zero outside [-1, 1], sampled by `_spline` where |v| < 1
+    on a periodic grid of step STEP.  Radii below FAR_RADIUS act through J0
+    with one real FFT per profile; the period exceeds FAR_RADIUS + 2, so no
+    periodic copy of a profile reaches an offset inside the unit ball.  Each larger radius rho
     acts as g - A_rho g, where A_rho convolves with the arcsine density
     1 / (pi sqrt(rho^2 - u^2)) on |u| < rho: the data reach it only at
     |u| < 2 <= FAR_RADIUS, where it is smooth, so the sum of those densities
@@ -78,10 +78,9 @@ def _annulus_kernel(grid, eps, r_max, tail_correction):
     count = fft.next_fast_len(math.ceil((FAR_RADIUS + 2.0) / STEP) + 1, real=True)
     k = np.arange(count)
     v = STEP * np.where(2 * k < count, k, k - count)
-    _, spline = _node_spline(grid.t)
-    samples = np.zeros((count, grid.t.size))
+    samples = np.zeros((grid.t.size, count))
     inside = np.abs(v) < 1.0
-    samples[inside] = spline(v[inside])
+    samples[:, inside] = _spline(*_node_spline(grid.t), v[inside])
 
     rho, weight = _annulus_rule(eps, r_max)
     far = rho >= FAR_RADIUS
@@ -96,12 +95,12 @@ def _annulus_kernel(grid, eps, r_max, tail_correction):
     if tail_correction:
         m += 2.0 * np.pi / r_max
 
-    filtered = fft.irfft(m[:, None] * fft.rfft(samples, axis=0), n=count, axis=0)
+    filtered = fft.irfft(m * fft.rfft(samples), n=count)
     pos = _kernel_offsets(grid) / STEP
     lo = np.floor(pos).astype(int)
-    frac = (pos - lo)[..., None]
-    M = (1.0 - frac) * filtered[lo % count] + frac * filtered[(lo + 1) % count]
-    return _radial_kernel(grid, M)
+    frac = pos - lo
+    M = (1.0 - frac) * filtered[:, lo % count] + frac * filtered[:, (lo + 1) % count]
+    return _read_only(_radial_kernel(grid, np.moveaxis(M, 0, -1)))
 
 
 def invert_hypersingular(F, eps=None, r_max=4.0, tail_correction=True):
@@ -128,5 +127,5 @@ def invert_hypersingular(F, eps=None, r_max=4.0, tail_correction=True):
         raise ValueError("need 0 < eps < r_max < inf")
     phi = _plane_data(F)
     K = _annulus_kernel(grid, float(eps), float(r_max), bool(tail_correction))
-    c = method_constants(2, ell=1).hs_constant
+    c = method_constants(2).hs_constant
     return project(BallFunction(grid, c * _harmonic_apply(grid, phi.values, K)))

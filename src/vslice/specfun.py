@@ -169,12 +169,12 @@ class SvdConstants(NamedTuple):
 def svd_constants(n, lam, nu):
     """Normalization constants and singular value for index nu at weight lam.
 
-    Requires lam > n/2 - 1.  Computed through log-Gamma so large m + 2k stays
-    finite.  s_nu depends on (m, k) only; mu enters nowhere.
+    Requires a finite lam > n/2 - 1.  Computed through log-Gamma so large
+    m + 2k stays finite.  s_nu depends on (m, k) only; mu enters nowhere.
     """
     m, _, k = nu
-    if lam <= n / 2 - 1:
-        raise ValueError("need lam > n/2 - 1")
+    if not (math.isfinite(lam) and lam > n / 2 - 1):
+        raise ValueError("need a finite lam > n/2 - 1")
     if m < 0 or k < 0:
         raise ValueError("need m, k >= 0")
     lg = gammaln
@@ -212,8 +212,8 @@ def svd_constants(n, lam, nu):
 
 def radon_norm(n, lam):
     """Operator norm of the ball Radon transform between the weighted spaces."""
-    if lam <= n / 2 - 1:
-        raise ValueError("need lam > n/2 - 1")
+    if not (math.isfinite(lam) and lam > n / 2 - 1):
+        raise ValueError("need a finite lam > n/2 - 1")
     return math.sqrt(
         math.pi ** ((n - 1) / 2.0) * math.exp(gammaln(lam - n / 2.0 + 1.0) - gammaln(lam + 0.5))
     )
@@ -271,21 +271,15 @@ class MethodConstants(NamedTuple):
     hs_constant: float  # c_n / d_{n,ell}(n-1): prefactor of the hypersingular integral
 
 
-def method_constants(n, ell=None):
+def method_constants(n):
     """Constants for the reconstruction formulas in ambient dimension n (sphere S^n).
 
-    ell defaults to n-1 for even n and n for odd n (the finite-difference
-    order must exceed n-1 when n is odd).  The weighted operator norm is
-    radon_norm(n, lam).
+    The finite-difference order ell is n-1 for even n and n for odd n, where
+    it must exceed n-1.  The weighted operator norm is radon_norm(n, lam).
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    if ell is None:
-        ell = n - 1 if n % 2 == 0 else n
-    if n % 2 == 0 and ell != n - 1:
-        raise ValueError("even n requires ell = n - 1")
-    if n % 2 == 1 and ell <= n - 1:
-        raise ValueError("odd n requires ell > n - 1")
+    ell = n - 1 if n % 2 == 0 else n
     gam = math.gamma
     c_n = math.pi ** (1.0 - n / 2.0) / (2.0 ** (n - 1) * gam(n / 2.0))
     c_hat_n = math.pi ** ((1.0 - n) / 2.0) / (2.0 ** (n - 1) * gam(n / 2.0))

@@ -30,7 +30,10 @@ chart and serves as the independent oracle.
 Also here: the dual (backprojection) operator `dual_radon`, the spatial
 oracle, and the t-filter kernels of the filtered routes: `john` and `ac`
 pass -d^2/dt^2 (after a log convolution when n = 2), `hs` its annulus
-multiplier.
+multiplier.  The n = 2 filters and `dual_radon` act on one interpolant of
+the t-profiles, the natural cubic spline through the nodes pinned to zero at
+t = +-1: `_node_spline` builds it once as a table (knot values and knot
+second derivatives) and `_spline` is its one evaluator.
 """
 
 import math
@@ -38,10 +41,9 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebder, chebvander
-from scipy.interpolate import CubicSpline
 from scipy.special import roots_jacobi, roots_legendre
 
-from .grid import SliceData, SphereFunction, _symmetrize
+from .grid import SliceData, SphereFunction, _read_only, _symmetrize
 from .specfun import _norm_assoc_legendre, sphere_area
 
 # Radial node counts of the slice rule by n: chords at n = 2, disk radii at
@@ -65,12 +67,8 @@ def _jacobi_rule(npts, a, b):
     if npts < 1:
         raise ValueError("need at least one quadrature node")
     if a == 0.0 and b == 0.0:
-        x, w = roots_legendre(npts)
-    else:
-        x, w = roots_jacobi(npts, a, b)
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
+        return _read_only(roots_legendre(npts))
+    return _read_only(roots_jacobi(npts, a, b))
 
 
 def _barycentric_matrix(grid, query):
@@ -101,8 +99,7 @@ def _legendre_table(grid):
     P = np.zeros((L, L, L))
     for j in range(L):
         P[j, j:] = list(_norm_assoc_legendre(L - 1, j, grid.polar_cos))
-    P.setflags(write=False)
-    return P
+    return _read_only(P)
 
 
 def _analyse(grid, values):
@@ -282,8 +279,7 @@ def _forward_kernel(grid, exponent):
     for j in range(grid.spec.n_t):
         K[:, j] = Z[:, j] @ _barycentric_matrix(grid, rho2[j])
     K[odd] /= grid.r
-    K.setflags(write=False)
-    return K
+    return _read_only(K)
 
 
 def vslice_forward(f):
@@ -392,12 +388,13 @@ def dual_radon(F, xprime):
 
     The t-profiles are interpolated by a natural cubic spline through the
     nodes (`_node_spline`, the interpolant the n = 2 filters act on, so this
-    is their spatial reference), pinned to zero at t = +-1 and clamped to zero
-    outside (-1, 1), where slice data of integrable functions vanishes.  It
-    sums one direction per antipodal pair with the folded profile
-    F(theta, t) + F(-theta, -t), exact for any data (the odd part cancels).
-    The spline table is built from F's values on every call.  Accepts a
-    single point or an array of points (..., n).
+    is their spatial reference), pinned to zero at t = +-1 and zero outside
+    (-1, 1), where slice data of integrable functions vanishes.  It sums one
+    direction per antipodal pair with the folded profile
+    F(theta, t) + F(-theta, -t), exact for any data (the odd part cancels):
+    the folded profiles times the cardinal table are the knot values and
+    second derivatives `_spline` evaluates, formed from F's values on every
+    call.  Accepts a single point or an array of points (..., n).
     """
     if not isinstance(F, SliceData):
         raise TypeError("dual_radon expects SliceData")
@@ -410,21 +407,13 @@ def dual_radon(F, xprime):
     w = grid.ang_weight[sel] / sphere_area(grid.spec.n)
     values = F.values
     folded = values[sel] + values[grid.antipodal_index[sel]][:, ::-1]
-    x, spline = _node_spline(grid.t)
-    c = np.tensordot(spline.c, folded, axes=(2, 1))
-    rows = np.arange(ang.shape[0])[:, None]
+    x, y, m = _node_spline(grid.t)
+    y, m = folded @ y, folded @ m
     flat = pts.reshape(-1, pts.shape[-1])
     out = np.empty(flat.shape[0])
     for lo in range(0, flat.shape[0], _BACKPROJECT_CHUNK):
         S = ang @ flat[lo:lo + _BACKPROJECT_CHUNK].T
-        Sc = np.clip(S, -1.0, 1.0)
-        idx = np.clip(np.searchsorted(x, Sc, side="right") - 1, 0, len(x) - 2)
-        dx = Sc - x[idx]
-        vals = c[0, idx, rows]
-        for k in range(1, c.shape[0]):
-            vals = vals * dx + c[k, idx, rows]
-        np.multiply(vals, np.abs(S) < 1.0, out=vals)
-        out[lo:lo + _BACKPROJECT_CHUNK] = w @ vals
+        out[lo:lo + _BACKPROJECT_CHUNK] = w @ _spline(x, y, m, S)
     return float(out[0]) if pts.ndim == 1 else out.reshape(pts.shape[:-1])
 
 
@@ -467,29 +456,59 @@ def _log_moment_matrix(t_nodes, s_points):
 
 
 def _node_spline(t):
-    """(knots, spline): the natural cubic spline `dual_radon` uses, as a map of
-    the node values at t.  spline(s) has one column per node; the knots are
-    [-1, t, 1] and the spline is pinned to zero at the outer two."""
+    """(x, y, m): the natural cubic splines through the nodes t, one row per
+    node, as a table on the knots x = [-1, t, 1].  Row k (the cardinal spline
+    of node k) has the knot values y[k], 1 at t_k and 0 at every other knot,
+    so every spline is pinned to zero at +-1, and the knot second derivatives
+    m[k], zero at +-1 (natural) and inside from one tridiagonal solve of the
+    continuity of g'.  `_spline` evaluates it."""
     x = np.concatenate(([-1.0], t, [1.0]))
-    basis = np.zeros((x.size, t.size))
-    basis[1:-1] = np.eye(t.size)
-    return x, CubicSpline(x, basis, bc_type="natural")
+    h = np.diff(x)
+    g = 1.0 / h
+    A = np.diag(2.0 * (h[:-1] + h[1:])) + np.diag(h[1:-1], 1) + np.diag(h[1:-1], -1)
+    D = np.diag(-g[:-1] - g[1:]) + np.diag(g[1:-1], 1) + np.diag(g[1:-1], -1)
+    m = np.zeros((t.size, x.size))
+    m[:, 1:-1] = np.linalg.solve(A, 6.0 * D).T
+    return x, np.eye(t.size, x.size, 1), m
+
+
+def _spline(x, y, m, s, nu=0):
+    """Value (nu = 0) or slope (nu = 1) at s, clamped to [x[0], x[-1]], of the
+    cubic splines with knot values y and knot second derivatives m on the
+    knots x, the last axis of y and m (the table of `_node_spline`, or
+    combinations of its rows).  A 1-d s is shared by every spline and gives
+    y.shape[:-1] + s.shape; otherwise s has one row per spline."""
+    s = np.clip(s, x[0], x[-1])
+    i = np.clip(np.searchsorted(x, s, side="right") - 1, 0, x.size - 2)
+    lo, hi = x[i], x[i + 1]
+    h = hi - lo
+    a = (hi - s) / h
+    b = (s - lo) / h
+    if s.ndim == 1:
+        y0, y1, m0, m1 = y[..., i], y[..., i + 1], m[..., i], m[..., i + 1]
+    else:
+        y0, y1, m0, m1 = (np.take_along_axis(v, j, axis=-1) for v in (y, m) for j in (i, i + 1))
+    if nu == 0:
+        w = a, b, (a * a - 1.0) * a * (h * h / 6.0), (b * b - 1.0) * b * (h * h / 6.0)
+    else:
+        w = -1.0 / h, 1.0 / h, (1.0 - 3.0 * a * a) * (h / 6.0), (3.0 * b * b - 1.0) * (h / 6.0)
+    return w[0] * y0 + w[1] * y1 + w[2] * m0 + w[3] * m1
 
 
 def _log_filter_matrix(t, s):
     """-d^2/ds^2 of (Lg)(s) = int log|s - u| g(u) du as a matrix on node values.
 
     g is the natural cubic spline of `_node_spline`.  Its g'' is piecewise
-    linear on the knots [-1, t, 1], so (Lg)'' = L(g'') + g'(-1) log|s+1| -
+    linear between its knot values m, so (Lg)'' = L(g'') + g'(-1) log|s+1| -
     g'(1) log|s-1| is exact with the closed-form log moments.
     """
-    x, spline = _node_spline(t)
-    d1 = spline(np.array([-1.0, 1.0]), 1)
+    x, y, m = _node_spline(t)
+    d1 = _spline(x, y, m, np.array([-1.0, 1.0]), 1)
     W = _log_moment_matrix(x, s)
     return (
-        -W @ spline(x, 2)
-        - np.log(np.abs(s + 1.0))[:, None] * d1[0]
-        + np.log(np.abs(s - 1.0))[:, None] * d1[1]
+        -W @ m.T
+        - np.log(np.abs(s + 1.0))[:, None] * d1[:, 0]
+        + np.log(np.abs(s - 1.0))[:, None] * d1[:, 1]
     )
 
 
@@ -536,10 +555,7 @@ def _funk_hecke_rule(grid):
         c, w = roots_legendre(2 * grid.spec.n_t)
         c = _symmetrize(c)
         w = 0.5 * w
-    wP = _zonal_table(n, _kernel_degree(grid), c) * w
-    c.setflags(write=False)
-    wP.setflags(write=False)
-    return c, wP
+    return _read_only((c, _zonal_table(n, _kernel_degree(grid), c) * w))
 
 
 def _kernel_offsets(grid):
@@ -548,15 +564,13 @@ def _kernel_offsets(grid):
 
 
 def _radial_kernel(grid, M):
-    """K[l, j, k] = sum_q wP[l, q] M[j, q, k], read-only, where M[j, q, k] is
+    """K[l, j, k] = sum_q wP[l, q] M[j, q, k], where M[j, q, k] is
     the filtered profile of node k's cardinal function at the offset r_j c_q.
     M is first made exact under (c, t) -> (-c, -t), like the nodes, so the odd
     part of the data cancels to rounding (the n = 2 log filter at c and -c
     differs by about 1e-10)."""
     M = 0.5 * (M + M[:, ::-1, ::-1])
-    K = np.tensordot(_funk_hecke_rule(grid)[1], M, axes=(1, 1))
-    K.setflags(write=False)
-    return K
+    return np.tensordot(_funk_hecke_rule(grid)[1], M, axes=(1, 1))
 
 
 @lru_cache(maxsize=8)
@@ -568,7 +582,7 @@ def _filter_kernel(grid, exponent):
     s = _kernel_offsets(grid)
     M = (_log_filter_matrix(grid.t, s.ravel()) if grid.spec.n == 2
          else _plane_filter_matrix(grid.t, s.ravel(), exponent))
-    return _radial_kernel(grid, M.reshape(s.shape + (-1,)))
+    return _read_only(_radial_kernel(grid, M.reshape(s.shape + (-1,))))
 
 
 # -- spherical means -----------------------------------------------------------

@@ -178,6 +178,12 @@ def test_svd_table_csv(tmp_path, capsys):
     assert out.read_text().splitlines()[0] == "m,mu,k,c_nu,d_nu,s_nu"
 
 
+@pytest.mark.parametrize("n, lam", [(2, "nan"), (2, "inf"), (3, "nan"), (3, "inf")])
+def test_svd_table_non_finite_lam_exits_1(n, lam, capsys):
+    assert cli(["svd-table", "--n", str(n), "--band", "4", "--lam", lam]) == 1
+    assert "lam" in capsys.readouterr().err
+
+
 def test_selftest_subset(capsys):
     assert cli(["selftest", "--criteria", "10"]) == 0
     out = capsys.readouterr().out

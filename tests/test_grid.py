@@ -136,10 +136,18 @@ def test_chebyshev_t_weights_native(n_t):
 
 
 def test_weight_domain_errors(grid):
+    ones = SliceData(grid, np.ones((grid.n_ang_total, grid.spec.n_t)))
     with pytest.raises(ValueError):
         grid.radial_weights(-1.0)
     with pytest.raises(ValueError):
         grid.t_weights(-1.5)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            grid.radial_weights(bad)
+        with pytest.raises(ValueError):
+            grid.t_weights(bad)
+        with pytest.raises(ValueError, match="lam"):
+            inner_product_slices(ones, ones, lam=bad)
 
 
 def test_nodes_interior(grid):

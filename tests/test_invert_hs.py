@@ -104,7 +104,7 @@ def test_matches_spatial_annulus_sum(round2):
         means = dual_radon(plane, x[:, None, None, :] - rho[None, :, None, None] * dirs)
         panel = 2.0 * np.pi * ((g0[:, None] - means.mean(axis=2)) @ (0.5 * (b - a) * wg / rho**2))
         total += 2.0 * panel if j == 0 else panel
-    want = method_constants(2, ell=1).hs_constant * total
+    want = method_constants(2).hs_constant * total
 
     rec = invert_hypersingular(F).smooth
     got = rec.reshape(-1)[idx]

@@ -6,6 +6,7 @@ import glob
 import importlib
 import importlib.util
 import os
+import subprocess
 import sys
 import types
 
@@ -68,6 +69,18 @@ def test_benchmark_trace_layers_exist():
     for name in layers.MODULES:
         importlib.import_module("vslice." + name)
     assert callable(importlib.import_module("vslice.invert_hs").map_coordinates)
+
+
+def test_cli_import_leaves_heavy_scipy_out():
+    # every CLI call starts with this import; scipy's interpolate, optimize,
+    # linalg and sparse would add about 0.3 s to it, and no computation needs them
+    code = "import sys; sys.path.insert(0, %r); import vslice.cli; print(*sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code % os.path.join(ROOT, "src")],
+        capture_output=True, text=True, check=True,
+    )
+    heavy = {"scipy.interpolate", "scipy.optimize", "scipy.linalg", "scipy.sparse"}
+    assert not heavy & set(out.stdout.split())
 
 
 def _demo_imports(path):

@@ -202,6 +202,16 @@ def test_svd_constants_domain():
         svd_constants(3, 0.5, (0, 1, 0))
 
 
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+def test_non_finite_lam_rejected(lam):
+    # NaN fails every comparison, so the guard must be false for it too
+    for n in (2, 3):
+        with pytest.raises(ValueError):
+            svd_constants(n, lam, (0, 1, 0))
+        with pytest.raises(ValueError):
+            radon_norm(n, lam)
+
+
 def test_radon_norm_anchor():
     assert abs(radon_norm(2, 1.0) - math.sqrt(2)) < 1e-14
 
@@ -235,25 +245,19 @@ def test_finite_difference_normalizer_n2():
 
 def test_method_constants():
     mc2 = method_constants(2)
+    assert mc2.ell == 1
     assert abs(mc2.c_hat_n - 1 / (2 * math.sqrt(math.pi))) < 1e-15
     assert abs(mc2.c_n - 0.5) < 1e-15
     assert abs(mc2.hs_constant - 1 / (4 * math.pi)) < 1e-15
     assert abs(mc2.lambda_n - 1 / (8 * math.pi)) < 1e-15
     mc3 = method_constants(3)
+    assert mc3.ell == 3
     assert abs(mc3.c_n - 1 / (2 * math.pi)) < 1e-15
     assert abs(mc3.lambda_n - 1 / (16 * math.pi**2)) < 1e-15
     assert abs(mc3.delta_n - 1.0) < 1e-15
     # delta/lambda consistency at n=3: lambda_n = delta_n / (cbar_n sigma_{n-1})
     cbar3 = 4 * math.pi ** (1.0) * (3 - 2)
     assert abs(mc3.lambda_n - mc3.delta_n / (cbar3 * sphere_area(3))) < 1e-15
-
-
-def test_method_constants_ell_validation():
-    with pytest.raises(ValueError):
-        method_constants(2, ell=2)
-    with pytest.raises(ValueError):
-        method_constants(3, ell=2)
-    assert method_constants(3, ell=3).ell == 3
 
 
 def test_svd_index():

@@ -8,6 +8,7 @@ from scipy.interpolate import CubicSpline
 from scipy.special import eval_chebyu
 
 from vslice import (
+    Grid,
     GridSpec,
     SliceData,
     SphereFunction,
@@ -39,8 +40,10 @@ from vslice.xform import (
     _legendre_table,
     _log_filter_matrix,
     _log_moment_matrix,
+    _node_spline,
     _plane_filter_matrix,
     _slice_quadrature,
+    _spline,
 )
 
 
@@ -441,6 +444,23 @@ def test_dual_radon_fold_exact_on_odd_data(spec):
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("spec", [default_spec(2), GridSpec(2, 16, 8, 8)])
+def test_node_spline_matches_scipy(spec):
+    # the owned natural spline against scipy's, a test-only reference: every
+    # cardinal function's values, g' and g'' at the knots and at random points,
+    # relative to its peak; g'' of a cubic spline is the linear interpolant of
+    # its knot values m
+    t = make_grid(spec).t
+    x, y, m = _node_spline(t)
+    ref = CubicSpline(x, y.T, bc_type="natural")
+    s = np.concatenate([x, np.random.default_rng(5).uniform(-1.0, 1.0, 400)])
+    got = [_spline(x, y, m, s), _spline(x, y, m, s, 1), np.array([np.interp(s, x, r) for r in m])]
+    for nu, values in enumerate(got):
+        want = ref(s, nu).T
+        scale = np.max(np.abs(want), axis=1, keepdims=True)
+        assert np.all(np.abs(values - want) <= 1e-13 * scale), nu
+
+
 # -- the t-filters of the filtered backprojection --------------------------------
 
 
@@ -482,6 +502,20 @@ def test_cached_arrays_are_read_only():
     # the memoized grids they are keyed on must not change under them
     small2 = make_grid(GridSpec(2, 16, 8, 16))
     small3 = make_grid(GridSpec(3, 8, 12, 16))
+    grid_memos = [
+        get
+        for g in (small2, small3)
+        for get in (
+            lambda g=g: g.radial_weights(0.0),
+            lambda g=g: g.radial_weights(1.5),
+            lambda g=g: g.t_weights(-0.5),
+            lambda g=g: g.t_weights(1.0),
+            lambda g=g: g.ball_points,
+            lambda g=g: g.antipodal_index,
+        )
+    ]
+    for get in grid_memos:
+        assert get() is get()
     grid_arrays = [
         getattr(g, name)
         for g, names in (
@@ -492,6 +526,7 @@ def test_cached_arrays_are_read_only():
     ]
     cached = [
         *grid_arrays,
+        *(get() for get in grid_memos),
         *_jacobi_rule(8, 0.5, 0.5),
         _legendre_table(small3),
         *_funk_hecke_rule(small2),
@@ -505,12 +540,14 @@ def test_cached_arrays_are_read_only():
     for a in cached:
         with pytest.raises(ValueError, match="read-only"):
             a[(0,) * a.ndim] = 1.0
-    # a new cache in either module must join the list above
+    # a new cache in either module or on Grid must join the lists above
     covered = {
         _jacobi_rule, _legendre_table, _funk_hecke_rule, _filter_kernel,
-        _forward_kernel, _annulus_kernel,
+        _forward_kernel, _annulus_kernel, Grid.radial_weights, Grid.t_weights,
     }
-    caches = {f for m in (xform, invert_hs) for f in vars(m).values() if hasattr(f, "cache_info")}
+    caches = {
+        f for m in (xform, invert_hs, Grid) for f in vars(m).values() if hasattr(f, "cache_info")
+    }
     assert caches <= covered, sorted(f.__name__ for f in caches - covered)
 
 
