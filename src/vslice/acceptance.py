@@ -139,6 +139,12 @@ class CriterionResult:
     detail: str
     notes: tuple = field(default_factory=tuple)
 
+    def __str__(self):
+        """The PASS/FAIL line, then one line per note."""
+        verdict = "PASS" if self.passed else "FAIL"
+        lines = ["%s  %2d  %s — %s" % (verdict, self.number, self.title, self.detail)]
+        return "\n".join(lines + ["        note: %s" % note for note in self.notes])
+
 
 def _rel_l2_change(a, b):
     na = inner_product_sphere(a, a)
@@ -414,8 +420,5 @@ def run_acceptance(numbers=None, stream=None):
             continue
         res = fn(ws)
         results.append(res)
-        print("%s  %2d  %s — %s" % ("PASS" if res.passed else "FAIL", k, res.title, res.detail),
-              file=out)
-        for note in res.notes:
-            print("        note: %s" % note, file=out)
+        print(res, file=out)
     return results

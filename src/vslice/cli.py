@@ -1,9 +1,15 @@
 """Command-line front end: forward sampling, the four inversions, checks.
 
 Subcommands: forward, invert, svd-table, phantom, selftest.  Every flag can
-also come from a JSON config object (--config FILE) keyed by the long flag
-names with underscores instead of dashes; explicit command-line flags win.
-A config may carry "schema_version": 1, like every JSON file of the package.
+also come from a JSON config object (--config FILE) keyed by the flag's
+destination name (the long flag name, but `infile` for --in).  Each entry
+is read as the token `--flag=value` placed after the subcommand and ahead
+of the command-line flags, then argparse parses everything once: config
+values pass the same type and choice checks as flags (so 8.0 is no
+integer), and explicit flags win.  Lists are joined with commas, null
+leaves a flag unset, and booleans, objects and the keys config and help are
+usage errors.  A config may carry "schema_version": 1, like every JSON file
+of the package.
 Exit codes: 0 success, 1 validation failure, 2 usage error.
 """
 
@@ -16,7 +22,7 @@ import sys
 import time
 
 from .acceptance import CRITERIA, run_acceptance
-from .grid import GridSpec, SliceData, default_spec
+from .grid import GridSpec, SliceData, _is_integer, default_spec
 from .harness import (
     PHANTOM_KINDS,
     SCHEMA_VERSION,
@@ -39,19 +45,34 @@ class _UsageError(Exception):
     pass
 
 
-def _seq(value, conv):
-    """Tuple of conv() items from a comma string or a JSON-config list."""
-    items = value if isinstance(value, (list, tuple)) else str(value).split(",")
+def _numbers(conv):
+    """argparse type: a comma-separated list of conv() values, as a tuple."""
+    def parse(text):
+        try:
+            return tuple(conv(v) for v in text.split(","))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                "expected comma-separated %s values, got %r" % (conv.__name__, text)) from None
+    return parse
+
+
+def _criteria(text):
+    numbers = set(_numbers(int)(text))
+    bad = sorted(numbers - set(range(1, len(CRITERIA) + 1)))
+    if bad:
+        raise argparse.ArgumentTypeError("no such criteria: %s" % ", ".join(map(str, bad)))
+    return numbers
+
+
+def _grid_counts(text):
+    """argparse type: None for 'default', else the counts (A, R, T) of 'AxRxT'."""
+    if text == "default":
+        return None
     try:
-        return tuple(conv(v) for v in items)
-    except (TypeError, ValueError):
-        raise _UsageError("expected comma-separated numbers, got %r" % (value,)) from None
-
-
-def _require(args, *names):
-    for name in names:
-        if getattr(args, name) is None:
-            raise _UsageError("--%s is required" % name.replace("infile", "in"))
+        a, r, t = (int(v) for v in text.lower().split("x"))
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected 'default' or AxRxT, e.g. 256x96x128") from None
+    return a, r, t
 
 
 def _add_phantom_flags(p):
@@ -59,15 +80,12 @@ def _add_phantom_flags(p):
                    help="phantom kind (alternative to --truth)")
     p.add_argument("--n", type=int, choices=[2, 3], help="sphere dimension")
     p.add_argument("--power", type=float, default=0.0, help="axial_power exponent")
-    p.add_argument("--nu", help="basis index as m,mu,k")
+    p.add_argument("--nu", type=_numbers(int), help="basis index as m,mu,k")
     p.add_argument("--lam", type=float, help="weight parameter (basis phantom / svd)")
-    p.add_argument("--center", help="bump center, n+1 comma-separated coordinates")
+    p.add_argument("--center", type=_numbers(float),
+                   help="bump center, n+1 comma-separated coordinates")
     p.add_argument("--width", type=float, default=0.7, help="bump geodesic width")
     p.add_argument("--margin", type=float, default=0.0, help="bump equator margin")
-
-
-def _add_config_flag(p):
-    p.add_argument("--config", help="JSON file mirroring the flags of this subcommand")
 
 
 def _build_parser():
@@ -77,20 +95,17 @@ def _build_parser():
                     "and its four inversions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {}
 
     p = sub.add_parser("forward", help="sample a phantom and write its slice data")
     _add_phantom_flags(p)
-    p.add_argument("--grid", default="default",
+    p.add_argument("--grid", type=_grid_counts, default="default",
                    help="'default' or angular x radial x t node counts, e.g. 256x96x128")
     p.add_argument("--truth", help="phantom description JSON (instead of phantom flags)")
-    p.add_argument("--out", help="output .vsl sinogram path")
-    _add_config_flag(p)
-    commands["forward"] = p
+    p.add_argument("--out", required=True, help="output .vsl sinogram path")
 
     p = sub.add_parser("invert", help="reconstruct from a .vsl sinogram")
-    p.add_argument("--method", choices=["john", "hs", "svd", "ac"])
-    p.add_argument("--in", dest="infile", help="input .vsl sinogram")
+    p.add_argument("--method", required=True, choices=["john", "hs", "svd", "ac"])
+    p.add_argument("--in", dest="infile", required=True, help="input .vsl sinogram")
     p.add_argument("--out", help="write the reconstruction as a .vsl file")
     p.add_argument("--truth", help="phantom description JSON to validate against")
     p.add_argument("--report", help="write the ValidationReport JSON here")
@@ -98,38 +113,31 @@ def _build_parser():
     p.add_argument("--lam", type=float, help="svd: weight parameter (default n/2)")
     p.add_argument("--eps", type=float, help="hs: inner cutoff radius")
     p.add_argument("--rmax", type=float, default=4.0, help="hs: outer truncation radius")
-    _add_config_flag(p)
-    commands["invert"] = p
 
     p = sub.add_parser("svd-table", help="print (nu, c_nu, d_nu, s_nu) as CSV")
-    p.add_argument("--n", type=int, choices=[2, 3])
+    p.add_argument("--n", type=int, required=True, choices=[2, 3])
     p.add_argument("--lam", type=float, help="weight parameter (default n/2)")
     p.add_argument("--band", type=int, default=8)
     p.add_argument("--out", help="write CSV here instead of stdout")
-    _add_config_flag(p)
-    commands["svd-table"] = p
 
     p = sub.add_parser("phantom", help="write a phantom description JSON")
     _add_phantom_flags(p)
-    p.add_argument("--grid", default="default",
+    p.add_argument("--grid", type=_grid_counts, default="default",
                    help="grid for --vsl sampling: 'default' or AxRxT")
-    p.add_argument("--out", help="output JSON path")
+    p.add_argument("--out", required=True, help="output JSON path")
     p.add_argument("--vsl", help="also sample the phantom and write a .vsl grid dump")
-    _add_config_flag(p)
-    commands["phantom"] = p
 
     p = sub.add_parser("selftest", help="run the acceptance criteria")
-    p.add_argument("--criteria", help="comma-separated subset, e.g. 1,2,9 (default all)")
-    _add_config_flag(p)
-    commands["selftest"] = p
+    p.add_argument("--criteria", type=_criteria,
+                   help="comma-separated subset, e.g. 1,2,9 (default all)")
 
-    return parser, commands
+    for p in sub.choices.values():
+        p.add_argument("--config", help="JSON file mirroring the flags of this subcommand")
+    return parser, sub.choices
 
 
-def _apply_config(parser, commands, argv, args):
-    path = getattr(args, "config", None)
-    if not path:
-        return args
+def _config_tokens(path, sub):
+    """The entries of the JSON config at `path` as --flag=value tokens of `sub`."""
     with open(path) as fh:
         try:
             cfg = json.load(fh)
@@ -140,66 +148,67 @@ def _apply_config(parser, commands, argv, args):
     version = cfg.pop("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise _UsageError("unsupported config schema version %r" % (version,))
-    sub = commands[args.command]
-    known = {a.dest for a in sub._actions}
-    unknown = sorted(set(cfg) - known)
+    flags = {a.dest: a.option_strings[0] for a in sub._actions if a.dest not in ("config", "help")}
+    unknown = sorted(set(cfg) - set(flags))
     if unknown:
         raise _UsageError("unknown config keys: %s" % ", ".join(unknown))
-    # set_defaults skips argparse validation, so handlers re-check values;
-    # flags given explicitly on the command line still win over the config.
-    sub.set_defaults(**cfg)
+    tokens = []
+    for key, value in cfg.items():
+        if value is None:
+            continue
+        items = value if isinstance(value, list) else [value]
+        if any(v is None or isinstance(v, (bool, dict, list)) for v in items):
+            raise _UsageError("config %s must be a number, a string or a list of them, got %s"
+                              % (key, json.dumps(value)))
+        # the = form keeps a value such as -0.3,0.2,0.93 from reading as a flag
+        tokens.append("%s=%s" % (flags[key], ",".join(map(str, items))))
+    return tokens
+
+
+def _parse(argv):
+    """The Namespace of argv.  A --config file's entries are read as flags
+    placed after the subcommand, so argparse checks them and explicit flags,
+    which come later, win."""
+    parser, commands = _build_parser()
+    pre = argparse.ArgumentParser(prog="vslice", add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv[1:])[0].config
+    if path and argv[0] in commands:
+        argv = argv[:1] + _config_tokens(path, commands[argv[0]]) + argv[1:]
     return parser.parse_args(argv)
 
 
-def _parse_grid(text, n):
-    if text in (None, "default"):
-        return default_spec(n)
-    try:
-        a, r, t = (int(v) for v in str(text).lower().split("x"))
-    except ValueError:
-        raise _UsageError("--grid expects 'default' or AxRxT, e.g. 256x96x128") from None
-    return GridSpec(n, a, r, t)
+def _grid_spec(counts, n):
+    return default_spec(n) if counts is None else GridSpec(n, *counts)
 
 
 def _phantom_from_args(args):
     """(Phantom, n) from the flag group or a --truth description file."""
     if getattr(args, "truth", None):
         payload = read_json(args.truth)
-        n = int(payload["n"])
-        if args.n is not None and int(args.n) != n:
+        n = payload["n"]
+        if not _is_integer(n):
+            raise ValueError("description field n must be an integer, got %r" % (n,))
+        if args.n is not None and args.n != n:
             raise _UsageError("--n disagrees with the description file")
         return Phantom.from_dict(payload["phantom"]), n
     if args.phantom is None:
         raise _UsageError("need --phantom (or --truth with a description file)")
-    if args.phantom not in PHANTOM_KINDS:
-        raise _UsageError("--phantom must be one of %s" % ", ".join(PHANTOM_KINDS))
     if args.n is None:
         raise _UsageError("need --n")
-    n = int(args.n)
-    if n not in (2, 3):
-        raise _UsageError("--n must be 2 or 3")
-    d = {"kind": args.phantom}
-    if args.phantom == "axial_power":
-        d["p"] = float(args.power)
-    elif args.phantom == "basis":
-        if args.nu is None:
-            raise _UsageError("basis phantom needs --nu m,mu,k")
-        d["nu"] = list(_seq(args.nu, int))
-        if args.lam is not None:
-            d["lam"] = float(args.lam)
-    elif args.phantom == "bump":
-        if args.center is None:
-            raise _UsageError("bump phantom needs --center")
-        d["center"] = list(_seq(args.center, float))
-        d["width"] = float(args.width)
-        d["equator_margin"] = float(args.margin)
-    return Phantom.from_dict(d), n
+    if args.phantom == "basis" and args.nu is None:
+        raise _UsageError("basis phantom needs --nu m,mu,k")
+    if args.phantom == "bump" and args.center is None:
+        raise _UsageError("bump phantom needs --center")
+    # from_dict keeps the fields of the kind and drops the rest
+    d = {"kind": args.phantom, "p": args.power, "nu": args.nu, "lam": args.lam,
+         "center": args.center, "width": args.width, "equator_margin": args.margin}
+    return Phantom.from_dict(d), args.n
 
 
 def _run_forward(args):
-    _require(args, "out")
     p, n = _phantom_from_args(args)
-    spec = _parse_grid(args.grid, n)
+    spec = _grid_spec(args.grid, n)
     F = vslice_forward(make_phantom(p, spec))
     write_vsl(args.out, F)
     print("wrote %s  (n=%d, %d angles x %d offsets)"
@@ -208,21 +217,17 @@ def _run_forward(args):
 
 
 def _run_phantom(args):
-    _require(args, "out")
     p, n = _phantom_from_args(args)
     write_json(args.out, {"n": n, "phantom": p.to_dict()})
     print("wrote %s" % args.out)
     if args.vsl:
-        f = make_phantom(p, _parse_grid(args.grid, n))
+        f = make_phantom(p, _grid_spec(args.grid, n))
         write_vsl(args.vsl, f)
         print("wrote %s" % args.vsl)
     return 0
 
 
 def _run_invert(args):
-    _require(args, "method", "infile")
-    if args.method not in ("john", "hs", "svd", "ac"):
-        raise _UsageError("--method must be one of john, hs, svd, ac")
     if args.report and not args.truth:
         raise _UsageError("--report needs --truth to validate against")
     data, lam_file = read_vsl(args.infile)
@@ -237,13 +242,12 @@ def _run_invert(args):
         # take the full (doubled) transform
         rec = invert_ac(full_transform(data))
     elif args.method == "hs":
-        eps = None if args.eps is None else float(args.eps)
-        rec = invert_hypersingular(data, eps=eps, r_max=float(args.rmax))
+        rec = invert_hypersingular(data, eps=args.eps, r_max=args.rmax)
     else:
-        lam = None if args.lam is None else float(args.lam)
+        lam = args.lam
         if lam is None and math.isfinite(lam_file):
             lam = lam_file
-        rec = reconstruct(data, lam=lam, band=int(args.band))
+        rec = reconstruct(data, lam=lam, band=args.band)
     runtime_ms = int(round(1e3 * (time.perf_counter() - t0)))
 
     if args.out:
@@ -261,12 +265,8 @@ def _run_invert(args):
 
 
 def _run_svd_table(args):
-    _require(args, "n")
-    n = int(args.n)
-    if n not in (2, 3):
-        raise _UsageError("--n must be 2 or 3")
-    lam = n / 2.0 if args.lam is None else float(args.lam)
-    rows = svd_table(n, lam, int(args.band))
+    lam = args.n / 2.0 if args.lam is None else args.lam
+    rows = svd_table(args.n, lam, args.band)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["m", "mu", "k", "c_nu", "d_nu", "s_nu"])
@@ -282,13 +282,7 @@ def _run_svd_table(args):
 
 
 def _run_selftest(args):
-    numbers = None
-    if args.criteria:
-        numbers = set(_seq(args.criteria, int))
-        bad = sorted(k for k in numbers if not 1 <= k <= len(CRITERIA))
-        if bad:
-            raise _UsageError("no such criteria: %s" % ", ".join(map(str, bad)))
-    results = run_acceptance(numbers)
+    results = run_acceptance(args.criteria)
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -304,10 +298,8 @@ _RUNNERS = {
 def cli(argv=None):
     """Parse argv and run one subcommand; returns the process exit code."""
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, commands = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        args = _apply_config(parser, commands, argv, args)
+        args = _parse(argv)
         return _RUNNERS[args.command](args)
     except SystemExit as exc:  # argparse usage errors
         code = exc.code

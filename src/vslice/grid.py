@@ -14,9 +14,14 @@ from dataclasses import asdict, dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
+from scipy.special import roots_jacobi
 
 from .specfun import jacobi_poly, log_gamma
+
+
+def _is_integer(v):
+    """Whether v is an integer that is not a bool (a bool is an int to Python)."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -30,7 +35,7 @@ class GridSpec:
 
     def __post_init__(self):
         counts = (self.n, self.n_angular, self.n_radial, self.n_t)
-        if not all(isinstance(c, numbers.Integral) and not isinstance(c, bool) for c in counts):
+        if not all(_is_integer(c) for c in counts):
             raise ValueError("n and the node counts must be integers")
         if self.n not in (2, 3):
             raise ValueError("only n = 2 and n = 3 are supported")
@@ -62,6 +67,16 @@ def _read_only(out):
     for a in out if isinstance(out, tuple) else (out,):
         a.setflags(write=False)
     return out
+
+
+@lru_cache(maxsize=256)
+def _jacobi_rule(npts, a, b):
+    """Gauss-Jacobi nodes/weights for weight (1-x)^a (1+x)^b on (-1, 1), read-only.
+
+    The package's one call of scipy's Gauss rules; scipy's roots_jacobi hands
+    a = b = 0 to roots_legendre, so that case is the Gauss-Legendre rule.
+    """
+    return _read_only(roots_jacobi(npts, a, b))
 
 
 def _symmetrize(x):
@@ -125,7 +140,7 @@ class Grid:
         else:
             npol = spec.n_angular
             nazi = 2 * npol
-            c = _symmetrize(roots_legendre(npol)[0])  # ascending, exactly antisymmetric
+            c = _symmetrize(_jacobi_rule(npol, 0.0, 0.0)[0])  # ascending, exactly antisymmetric
             wc = _legendre_weights(c)
             beta = 2.0 * np.pi * np.arange(nazi) / nazi
             s = np.sqrt(1.0 - c * c)
@@ -143,7 +158,7 @@ class Grid:
 
         self.n_ang_total = self.ang.shape[0]
 
-        x, wj = roots_jacobi(spec.n_radial, 0.0, (n - 2) / 2.0)
+        x, wj = _jacobi_rule(spec.n_radial, 0.0, (n - 2) / 2.0)
         self.u = (x + 1.0) / 2.0
         # sum w h(u) = int_0^1 h(r^2) r^(n-1) dr for polynomial h
         self._radial_base = wj * 2.0 ** (-(n + 2) / 2.0)

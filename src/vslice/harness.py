@@ -18,6 +18,7 @@ from .grid import (
     GridSpec,
     SliceData,
     SphereFunction,
+    _is_integer,
     inner_product_sphere,
     make_grid,
 )
@@ -145,6 +146,8 @@ def make_phantom(p, spec):
     if p.kind == "basis":
         if p.nu is None:
             raise ValueError("basis phantom needs an index nu")
+        if not all(_is_integer(v) for v in p.nu):
+            raise ValueError(f"basis index nu must hold integers, got {tuple(p.nu)}")
         # the grid must resolve the index for the spectral forward of the
         # samples to be exact (see sphere_basis_grid)
         m, _, k = p.nu

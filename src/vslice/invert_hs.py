@@ -24,9 +24,9 @@ from scipy import fft
 # benchmarks/layers.py counts spline resamples through this name; the route
 # makes none, so the count reads 0
 from scipy.ndimage import map_coordinates  # noqa: F401
-from scipy.special import j0, roots_legendre
+from scipy.special import j0
 
-from .grid import BallFunction, _read_only, project
+from .grid import BallFunction, _jacobi_rule, _read_only, project
 from .invert_john import _plane_data
 from .specfun import method_constants
 from .xform import _harmonic_apply, _kernel_offsets, _node_spline, _radial_kernel, _spline
@@ -50,7 +50,7 @@ def _annulus_rule(eps, r_max):
     bounds = [eps]
     while bounds[-1] < r_max:
         bounds.append(min(2.0 * bounds[-1], r_max))
-    xg, wg = roots_legendre(PANEL_NODES)
+    xg, wg = _jacobi_rule(PANEL_NODES, 0.0, 0.0)
     a = np.asarray(bounds[:-1])[:, None]
     b = np.asarray(bounds[1:])[:, None]
     rho = 0.5 * (b - a) * xg + 0.5 * (a + b)

@@ -41,9 +41,8 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebder, chebvander
-from scipy.special import roots_jacobi, roots_legendre
 
-from .grid import SliceData, SphereFunction, _read_only, _symmetrize
+from .grid import SliceData, SphereFunction, _jacobi_rule, _read_only, _symmetrize
 from .specfun import _norm_assoc_legendre, sphere_area
 
 # Radial node counts of the slice rule by n: chords at n = 2, disk radii at
@@ -59,16 +58,6 @@ _BACKPROJECT_CHUNK = 4096
 # evaluator's temporaries (120 kB each) then stay in the heap instead of
 # faulting in fresh pages; below 1 << 13 the per-call overhead shows.
 _QUADRATURE_POINTS = 1 << 14
-
-
-@lru_cache(maxsize=256)
-def _jacobi_rule(npts, a, b):
-    """Gauss-Jacobi nodes/weights for weight (1-x)^a (1+x)^b on (-1, 1)."""
-    if npts < 1:
-        raise ValueError("need at least one quadrature node")
-    if a == 0.0 and b == 0.0:
-        return _read_only(roots_legendre(npts))
-    return _read_only(roots_jacobi(npts, a, b))
 
 
 def _barycentric_matrix(grid, query):
@@ -349,7 +338,7 @@ def vslice_direct(f, theta, t, chord_nodes=None):
         full = np.asarray(f.evaluator(pts), dtype=float) * x3sq**e
         return r * math.pi / Q * float(full.sum())
     K = chord_nodes or 96
-    xg, wg = roots_legendre(K)
+    xg, wg = _jacobi_rule(K, 0.0, 0.0)
     v = (xg + 1.0) / 2.0
     wv = wg / 2.0
     kchi = 2 * K
@@ -552,7 +541,7 @@ def _funk_hecke_rule(grid):
         c = _symmetrize(np.cos(2.0 * np.pi * q / A))
         w = np.where((q == 0) | (2 * q == A), 1.0, 2.0) / A
     else:
-        c, w = roots_legendre(2 * grid.spec.n_t)
+        c, w = _jacobi_rule(2 * grid.spec.n_t, 0.0, 0.0)
         c = _symmetrize(c)
         w = 0.5 * w
     return _read_only((c, _zonal_table(n, _kernel_degree(grid), c) * w))

@@ -21,9 +21,7 @@ def ws():
 
 def _run(fn, ws):
     res = fn(ws)
-    print("%s  %2d  %s — %s" % ("PASS" if res.passed else "FAIL", res.number, res.title, res.detail))
-    for note in res.notes:
-        print("        note: %s" % note)
+    print(res)
     assert res.passed, "%s — %s" % (res.title, res.detail)
     return res
 
@@ -108,3 +106,10 @@ def test_workspace_times_are_exclusive(monkeypatch):
     assert (ws.seconds("leaf"), ws.seconds("mid"), ws.seconds("top")) == (2.0, 4.0, 0.75)
     assert ws.get(*mid) == "mid" and ws.seconds("mid") == 4.0
 
+
+
+def test_criterion_result_lines():
+    # run_acceptance and _run above both print results through this
+    res = acceptance.CriterionResult(3, "title", False, "detail", ("a", "b"))
+    assert str(res) == "FAIL   3  title — detail\n        note: a\n        note: b"
+    assert str(acceptance.CriterionResult(12, "t", True, "d")) == "PASS  12  t — d"

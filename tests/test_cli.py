@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from vslice.cli import cli
+from vslice.cli import _parse, cli
 from vslice.harness import read_json, read_vsl
 from vslice.invert_svd import svd_index_set
 
@@ -49,10 +49,10 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     cfg.write_text(json.dumps({"method": "john", "infile": "x.vsl", "resolution": 96}))
     assert cli(["invert", "--config", str(cfg)]) == 2
     assert "resolution" in capsys.readouterr().err
-    # config values skip argparse's choices, so the handlers check them too
+    # config values pass through argparse's choices, like flags
     cfg.write_text(json.dumps({"phantom": "nope", "n": 2, "out": out}))
     assert cli(["forward", "--config", str(cfg)]) == 2
-    assert "--phantom must be one of" in capsys.readouterr().err
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_missing_input_exits_1(tmp_path, capsys):
@@ -161,6 +161,93 @@ def test_config_mirrors_flags(artifacts, tmp_path, capsys):
     assert cli(["forward", "--config", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "bogus_key" in err
+
+
+# (subcommand, config, the same values as command-line flags)
+PARITY = [
+    ("forward",
+     {"phantom": "bump", "n": 2, "center": [-0.3, 0.2, 0.93], "width": 0.5, "margin": 0.25,
+      "grid": GRID, "out": "s.vsl"},
+     ["--phantom", "bump", "--n", "2", "--center=-0.3,0.2,0.93", "--width", "0.5",
+      "--margin", "0.25", "--grid", GRID, "--out", "s.vsl"]),
+    ("forward", {"truth": "p.json", "grid": "default", "out": "s.vsl"},
+     ["--truth", "p.json", "--grid", "default", "--out", "s.vsl"]),
+    ("phantom",
+     {"phantom": "basis", "n": 3, "nu": [2, 1, 0], "lam": 1.5, "grid": "16x24x32",
+      "out": "p.json", "vsl": "p.vsl"},
+     ["--phantom", "basis", "--n", "3", "--nu", "2,1,0", "--lam", "1.5", "--grid", "16x24x32",
+      "--out", "p.json", "--vsl", "p.vsl"]),
+    ("phantom", {"phantom": "axial_power", "n": 2, "power": 1.5, "out": "p.json"},
+     ["--phantom", "axial_power", "--n", "2", "--power", "1.5", "--out", "p.json"]),
+    ("invert",
+     {"method": "svd", "infile": "s.vsl", "out": "r.vsl", "truth": "p.json",
+      "report": "r.json", "band": 6, "lam": 1.25, "eps": 0.05, "rmax": 6},
+     ["--method", "svd", "--in", "s.vsl", "--out", "r.vsl", "--truth", "p.json",
+      "--report", "r.json", "--band", "6", "--lam", "1.25", "--eps", "0.05", "--rmax", "6"]),
+    ("svd-table", {"n": 3, "lam": 2.0, "band": 4, "out": "t.csv"},
+     ["--n", "3", "--lam", "2.0", "--band", "4", "--out", "t.csv"]),
+    ("selftest", {"criteria": [1, 9, 10]}, ["--criteria", "1,9,10"]),
+]
+
+
+@pytest.mark.parametrize("command, config, flags", PARITY)
+def test_config_parses_like_flags(command, config, flags, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    from_config = vars(_parse([command, "--config", str(cfg)]))
+    assert from_config.pop("config") == str(cfg)
+    from_flags = vars(_parse([command, *flags]))
+    assert from_flags.pop("config") is None
+    assert from_config == from_flags
+
+
+@pytest.mark.parametrize("command, config", [
+    ("svd-table", {"n": 2.5, "band": 2.9}),
+    ("invert", {"method": "svd", "infile": "x.vsl", "band": 4.7}),
+    ("selftest", {"criteria": [10, 9.5]}),
+    ("invert", {"method": "hs", "infile": "x.vsl", "rmax": True}),
+    ("svd-table", {"n": 2, "band": 8.0}),
+    ("forward", {"phantom": "bump", "n": 2, "center": [True, 0, 1], "out": "s.vsl"}),
+    ("forward", {"phantom": "even_constant", "n": 2, "out": {"path": "s.vsl"}}),
+    ("forward", {"phantom": "even_constant", "n": 2, "out": "s.vsl", "config": "c.json"}),
+    ("selftest", {"help": True}),
+])
+def test_config_values_argparse_rejects_exit_2(command, config, tmp_path, monkeypatch):
+    # the x.vsl inputs do not exist, so exit 2 comes from the parse, not a read
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert cli([command, "--config", str(cfg)]) == 2
+    assert not (tmp_path / "s.vsl").exists()
+
+
+def test_negative_first_list_value(tmp_path, capsys):
+    ph = tmp_path / "p.json"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"phantom": "bump", "n": 2, "center": [-0.3, 0.2, 0.93],
+                               "out": str(ph)}))
+    assert cli(["phantom", "--config", str(cfg)]) == 0
+    assert read_json(str(ph))["phantom"]["center"] == [-0.3, 0.2, 0.93]
+    # on the command line the = form is needed; argparse reads -0.3,... as a flag
+    flags = ["phantom", "--phantom", "bump", "--n", "2", "--out", str(ph)]
+    assert cli([*flags, "--center=-0.3,0.2,0.93"]) == 0
+    assert cli([*flags, "--center", "-0.3,0.2,0.93"]) == 2
+    # null leaves a flag unset, so the bump lacks its center
+    cfg.write_text(json.dumps({"phantom": "bump", "n": 2, "center": None, "out": str(ph)}))
+    capsys.readouterr()
+    assert cli(["phantom", "--config", str(cfg)]) == 2
+    assert "needs --center" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", [2.9, 2.0, True])
+def test_description_n_must_be_integer(n, tmp_path, capsys):
+    ph = tmp_path / "p.json"
+    ph.write_text(json.dumps({"schema_version": 1, "n": n,
+                              "phantom": {"kind": "even_constant"}}))
+    assert cli(["forward", "--truth", str(ph), "--grid", GRID,
+                "--out", str(tmp_path / "s.vsl")]) == 1
+    assert "field n" in capsys.readouterr().err
+    assert not (tmp_path / "s.vsl").exists()
 
 
 def test_svd_table_csv(tmp_path, capsys):

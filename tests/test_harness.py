@@ -54,6 +54,14 @@ def test_basis_anchor():
         make_phantom(Phantom("basis"), SPEC2)
 
 
+def test_basis_index_must_hold_integers():
+    # a bool index entry is an int to Python, and a float one fails deep inside
+    for nu in [(True, 1, 0), (2.0, 1, 1), (1, 1, 0.5), (np.float64(1), 1, 0)]:
+        with pytest.raises(ValueError, match="nu must hold integers"):
+            make_phantom(Phantom("basis", nu=nu, lam=1.0), SPEC2)
+    make_phantom(Phantom("basis", nu=(np.int64(1), 1, 0), lam=1.0), SPEC2)
+
+
 @pytest.mark.parametrize(
     "spec, lam, resolved, unresolved",
     [

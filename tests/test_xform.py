@@ -26,7 +26,8 @@ from vslice import (
     vslice_direct,
     vslice_forward,
 )
-from vslice import invert_hs, xform
+from vslice import grid, invert_hs, xform
+from vslice.grid import _jacobi_rule
 from vslice.invert_hs import _annulus_kernel
 from vslice.specfun import sphere_area
 from vslice.xform import (
@@ -36,7 +37,6 @@ from vslice.xform import (
     _forward_kernel,
     _frames,
     _funk_hecke_rule,
-    _jacobi_rule,
     _legendre_table,
     _log_filter_matrix,
     _log_moment_matrix,
@@ -528,6 +528,7 @@ def test_cached_arrays_are_read_only():
         *grid_arrays,
         *(get() for get in grid_memos),
         *_jacobi_rule(8, 0.5, 0.5),
+        *_jacobi_rule(8, 0.0, 0.0),
         _legendre_table(small3),
         *_funk_hecke_rule(small2),
         *_funk_hecke_rule(small3),
@@ -540,13 +541,17 @@ def test_cached_arrays_are_read_only():
     for a in cached:
         with pytest.raises(ValueError, match="read-only"):
             a[(0,) * a.ndim] = 1.0
-    # a new cache in either module or on Grid must join the lists above
+    # a new cache in these modules or on Grid must join the lists above;
+    # make_grid's grids are covered by their arrays in grid_arrays
     covered = {
-        _jacobi_rule, _legendre_table, _funk_hecke_rule, _filter_kernel,
+        make_grid, _jacobi_rule, _legendre_table, _funk_hecke_rule, _filter_kernel,
         _forward_kernel, _annulus_kernel, Grid.radial_weights, Grid.t_weights,
     }
     caches = {
-        f for m in (xform, invert_hs, Grid) for f in vars(m).values() if hasattr(f, "cache_info")
+        f
+        for m in (grid, xform, invert_hs, Grid)
+        for f in vars(m).values()
+        if hasattr(f, "cache_info")
     }
     assert caches <= covered, sorted(f.__name__ for f in caches - covered)
 
