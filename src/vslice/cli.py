@@ -27,6 +27,7 @@ from .harness import (
     PHANTOM_KINDS,
     SCHEMA_VERSION,
     Phantom,
+    _is_schema_version,
     compare,
     make_phantom,
     read_json,
@@ -146,7 +147,7 @@ def _config_tokens(path, sub):
     if not isinstance(cfg, dict):
         raise _UsageError("config must be a JSON object")
     version = cfg.pop("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
+    if not _is_schema_version(version):
         raise _UsageError("unsupported config schema version %r" % (version,))
     flags = {a.dest: a.option_strings[0] for a in sub._actions if a.dest not in ("config", "help")}
     unknown = sorted(set(cfg) - set(flags))

@@ -313,10 +313,14 @@ class _BallChart(_ChartFunction):
 
     `evaluator`, when present, maps arbitrary chart points of shape (..., n)
     to the smooth part; the forward map then runs its slice quadrature on
-    it, and `spherical_mean` and `vslice_direct` require one.  Without an
-    evaluator the forward map applies its per-degree harmonic kernel to the
-    samples, which is exact for band-limited samples (singular basis
-    functions among them).
+    it, and `spherical_mean` and `vslice_direct` require one.  An evaluator
+    may carry an attribute `cap = (c, cos_w)`, c a unit vector in R^(n+1):
+    a promise that it returns exactly 0 at every chart point whose lift x has
+    x . c <= cos_w and x . (c', -c_{n+1}) <= cos_w, so the slice quadrature
+    skips the slices outside both caps (the bump evaluator's does).  Sums,
+    multiples and differences carry no cap.  Without an evaluator the
+    forward map applies its per-degree harmonic kernel to the samples, which
+    is exact for band-limited samples (singular basis functions among them).
     """
 
     @staticmethod

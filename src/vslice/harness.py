@@ -9,6 +9,7 @@ meaningful shape score while the fitted scalar exposes the constant.
 
 import json
 import math
+import numbers
 import struct
 from dataclasses import asdict, dataclass
 
@@ -58,22 +59,42 @@ class Phantom:
 
     @classmethod
     def from_dict(cls, d):
+        """The Phantom a description dict names.  Its fields are checked, not
+        cast: numbers must be finite reals and nu integers, bools excluded."""
+        if not isinstance(d, dict):
+            raise ValueError(f"a phantom description is a JSON object, got {d!r}")
         kind = d.get("kind")
         if kind == "axial_power":
-            return cls(kind, p=float(d["p"]))
+            return cls(kind, p=_real("p", d.get("p")))
         if kind == "basis":
+            nu = d.get("nu")
+            if not (isinstance(nu, (list, tuple)) and len(nu) == 3
+                    and all(_is_integer(v) for v in nu)):
+                raise ValueError(f"phantom field nu must be 3 integers, got {nu!r}")
             lam = d.get("lam")
-            return cls(kind, nu=SvdIndex(*d["nu"]), lam=None if lam is None else float(lam))
+            lam = None if lam is None else _real("lam", lam)
+            return cls(kind, nu=SvdIndex(*nu), lam=lam)
         if kind == "bump":
+            center = d.get("center")
+            if not isinstance(center, (list, tuple)):
+                raise ValueError(f"phantom field center must be a list of numbers, got {center!r}")
             return cls(
                 kind,
-                center=tuple(float(c) for c in d["center"]),
-                width=float(d.get("width", 0.7)),
-                equator_margin=float(d.get("equator_margin", 0.0)),
+                center=tuple(_real("center", c) for c in center),
+                width=_real("width", d.get("width", 0.7)),
+                equator_margin=_real("equator_margin", d.get("equator_margin", 0.0)),
             )
         if kind == "even_constant":
             return cls(kind)
         raise ValueError(f"unknown phantom kind {kind!r}")
+
+
+def _real(key, v):
+    """The value v of description field `key` as a float; it must be a finite
+    real number, not a bool or a string."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+        raise ValueError(f"phantom field {key} must be a finite real number, got {v!r}")
+    return float(v)
 
 
 def _smooth_step(tau):
@@ -111,6 +132,13 @@ def _cap_profile(cosine, width):
 
 
 def _bump_evaluator(center, width, margin, n):
+    """Evaluator of the evenized cap bump on chart points (..., n).
+
+    The returned function carries `cap = (c, cos(width))`, c the unit centre
+    in R^(n+1): it is exactly 0 at every point whose lift x has x . c <=
+    cos(width) and x . (c', -c_{n+1}) <= cos(width), so the slice quadrature
+    may skip the slices that stay outside both caps.
+    """
     center = np.asarray(center, dtype=float)
     center = center / np.linalg.norm(center)
     cp, cl = center[:n], center[n]
@@ -125,6 +153,8 @@ def _bump_evaluator(center, width, margin, n):
             vals = vals * _smooth_step((xl - margin) / margin)
         return vals
 
+    center.setflags(write=False)
+    ev.cap = (center, math.cos(width))
     return ev
 
 
@@ -347,7 +377,16 @@ def write_json(path, payload):
 def read_json(path):
     with open(path) as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path} does not hold a JSON object")
     version = payload.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema version {version!r}")
+    if not _is_schema_version(version):
+        raise ValueError(f"unsupported schema_version {version!r}; "
+                         f"expected the integer {SCHEMA_VERSION}")
     return payload
+
+
+def _is_schema_version(version):
+    """Whether `version` is this package's JSON schema version, an integer
+    (so neither true nor 1.0)."""
+    return _is_integer(version) and version == SCHEMA_VERSION

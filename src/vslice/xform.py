@@ -11,9 +11,12 @@ the path.  A function with one (the bump, constant and axial-power
 phantoms) goes through one slice quadrature (`_slice_quadrature` on the
 nodes of `_ball_rule`, the slice rule crossed with azimuths at n = 3),
 which also serves spherical means; the forward runs it over one direction
-per antipodal pair and fills the partner by evenness.  It calls the
-evaluator once per offset and chunk of directions, so each call sees a
-bounded number of points however many directions the grid has.  Sampled
+per antipodal pair and fills the partner by evenness.  It evaluates only the
+(direction, offset) slices that meet the evaluator's support: an evaluator
+may carry a `cap` (the bump's does, see `harness._bump_evaluator`) outside
+which it vanishes, and the slices that miss it stay exactly 0.  The slices it
+keeps go to the evaluator in chunks, so each call sees a bounded number of
+points however many directions the grid has.  Sampled
 functions, singular basis functions among them, take the harmonic layer
 instead.  By Funk-Hecke a degree-l harmonic integrated over a slice, or
 backprojected, picks up the zonal polynomial of a cosine (`_zonal_table`:
@@ -36,6 +39,7 @@ t = +-1: `_node_spline` builds it once as a table (knot values and knot
 second derivatives) and `_spline` is its one evaluator.
 """
 
+import inspect
 import math
 from functools import lru_cache
 
@@ -203,6 +207,25 @@ def _ball_rule(n, e):
     return Y.reshape(-1, 2), np.repeat(w / kchi, kchi)
 
 
+def _meets_support(ev, theta, t):
+    """Mask (m, t.size) of the slices (theta_i, t_j) on which the evaluator ev,
+    or the one it wraps (`__wrapped__`), may be nonzero: all of them unless it
+    carries a `cap = (c, cos w)` outside which it vanishes.
+
+    The slice is the (n-1)-sphere of radius sqrt(1 - t^2) about t theta, so the
+    largest x . c on it is t a + sqrt(1 - t^2) sqrt(1 - a^2) with a = theta . c',
+    the same for the reflected cap (c', -c_{n+1}).
+    """
+    cap = getattr(inspect.unwrap(ev), "cap", None)
+    if cap is None:
+        return np.ones((theta.shape[0], t.size), dtype=bool)
+    c, cos_w = cap
+    a = theta @ c[:-1]
+    top = np.multiply.outer(a, t) + np.multiply.outer(
+        np.sqrt(np.maximum(1.0 - a * a, 0.0)), np.sqrt(1.0 - t * t))
+    return top > cos_w
+
+
 def _slice_quadrature(f, theta, t):
     """Smooth part of V_+ f at the directions theta (m, n) and offsets t,
     shape (m, t.size), from f's evaluator.
@@ -212,12 +235,13 @@ def _slice_quadrature(f, theta, t):
     the rows of E(theta) spanning theta^perp.  There the lifted function's
     boundary factor is (1 - t^2)^(e - 1/2) (1 - |Y|^2)^(e - 1/2): the second
     is the weight of `_ball_rule`, the powers of 1 - t^2 are the stored
-    boundary exponent e + (n-1)/2.  One evaluator call per offset and chunk
-    of directions, each chunk at most `_QUADRATURE_POINTS` points (for the
-    rules of `_ball_rule`), so the evaluator's temporaries stay small.  The
-    weighted node sums are numpy's pairwise row sums, which do not depend on
-    the chunking (a BLAS gemv over 10-row chunks rounded about 20x worse on
-    a sign-changing basis function).
+    boundary exponent e + (n-1)/2.  Only the slices that meet the evaluator's
+    support (`_meets_support`) are evaluated, the others stay 0: one flat loop
+    over them, one evaluator call per chunk of slices of at most
+    `_QUADRATURE_POINTS` points (for the rules of `_ball_rule`), so the
+    evaluator's temporaries stay small.  The weighted node sums are numpy's
+    pairwise row sums, which do not depend on the chunking (a BLAS gemv over
+    10-row chunks rounded about 20x worse on a sign-changing basis function).
     """
     n = f.spec.n
     Y, W = _ball_rule(n, f.boundary_exponent)
@@ -225,16 +249,26 @@ def _slice_quadrature(f, theta, t):
         E = np.stack([-theta[:, 1], theta[:, 0]], axis=-1)[:, None, :]
     else:
         E = np.stack(_frames(theta), axis=1)
+    scale = np.sqrt(1.0 - t * t)
+    rows, cols = np.nonzero(_meets_support(f.evaluator, theta, t))
     step = _QUADRATURE_POINTS // Y.shape[0]
-    out = np.empty((theta.shape[0], t.size))
-    for lo in range(0, theta.shape[0], step):
-        rows = slice(lo, lo + step)
-        offsets = Y @ E[rows]
-        pts = np.empty_like(offsets)
-        for j, tj in enumerate(t):
-            np.multiply(offsets, math.sqrt(1.0 - tj * tj), out=pts)
-            pts += tj * theta[rows, None, :]
-            out[rows, j] = (np.asarray(f.evaluator(pts), dtype=float) * W).sum(axis=-1)
+    buf = np.empty((min(step, rows.size), Y.shape[0], n))
+    out = np.zeros((theta.shape[0], t.size))
+    for lo in range(0, rows.size, step):
+        i, j = rows[lo:lo + step], cols[lo:lo + step]
+        pts = buf[:i.size]
+        # the slices come direction by direction: Y E(theta) once per run of
+        # one direction (a batched product per slice costs more than the
+        # evaluator of a constant at n = 2), scaled by each sqrt(1 - t^2)
+        a = 0
+        for b in np.append(np.flatnonzero(i[1:] != i[:-1]) + 1, i.size):
+            np.multiply(Y @ E[i[a]], scale[j[a:b], None, None], out=pts[a:b])
+            a = b
+        # one component at a time: bitwise the broadcast add, and faster
+        shift = t[j, None] * theta[i]
+        for k in range(n):
+            pts[..., k] += shift[:, k, None]
+        out[i, j] = (np.asarray(f.evaluator(pts), dtype=float) * W).sum(axis=-1)
     return out
 
 

@@ -151,10 +151,11 @@ def test_config_mirrors_flags(artifacts, tmp_path, capsys):
     cfg.write_text(json.dumps(dict(body, schema_version=1, out=str(tmp_path / "v1.vsl"))))
     assert cli(["forward", "--config", str(cfg)]) == 0
     assert (tmp_path / "v1.vsl").read_bytes() == sino.read_bytes()
-    cfg.write_text(json.dumps(dict(body, schema_version=2, out=str(tmp_path / "v2.vsl"))))
-    assert cli(["forward", "--config", str(cfg)]) == 2
-    assert "schema version" in capsys.readouterr().err
-    assert not (tmp_path / "v2.vsl").exists()
+    for version in (2, True, 1.0):
+        cfg.write_text(json.dumps(dict(body, schema_version=version, out=str(tmp_path / "v2.vsl"))))
+        assert cli(["forward", "--config", str(cfg)]) == 2
+        assert "schema version" in capsys.readouterr().err
+        assert not (tmp_path / "v2.vsl").exists()
 
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"bogus_key": 1}))
@@ -247,6 +248,23 @@ def test_description_n_must_be_integer(n, tmp_path, capsys):
     assert cli(["forward", "--truth", str(ph), "--grid", GRID,
                 "--out", str(tmp_path / "s.vsl")]) == 1
     assert "field n" in capsys.readouterr().err
+    assert not (tmp_path / "s.vsl").exists()
+
+
+@pytest.mark.parametrize("body, field", [
+    ({"schema_version": True, "n": 2,
+      "phantom": {"kind": "bump", "center": [True, 0, "1"], "width": True}}, "schema_version"),
+    ({"schema_version": 1, "n": 2, "phantom": {"kind": "bump", "center": [True, 0, 1]}}, "center"),
+    ({"schema_version": 1, "n": 2, "phantom": {"kind": "bump", "center": [0, 0, "1"]}}, "center"),
+    ({"schema_version": 1, "n": 2,
+      "phantom": {"kind": "bump", "center": [0, 0, 1], "width": True}}, "width"),
+])
+def test_description_fields_are_checked(body, field, tmp_path, capsys):
+    ph = tmp_path / "p.json"
+    ph.write_text(json.dumps(body))
+    assert cli(["forward", "--truth", str(ph), "--grid", GRID,
+                "--out", str(tmp_path / "s.vsl")]) == 1
+    assert field in capsys.readouterr().err
     assert not (tmp_path / "s.vsl").exists()
 
 

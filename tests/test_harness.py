@@ -224,6 +224,35 @@ def test_phantom_dict_roundtrip():
         Phantom.from_dict({"kind": "wat"})
 
 
+@pytest.mark.parametrize("d, field", [
+    ({"kind": "bump", "center": [True, 0, 1]}, "center"),
+    ({"kind": "bump", "center": [0, 0, "1"]}, "center"),
+    ({"kind": "bump", "center": [0, 0, math.nan]}, "center"),
+    ({"kind": "bump", "center": "001"}, "center"),
+    ({"kind": "bump", "center": [0, 0, 1], "width": True}, "width"),
+    ({"kind": "bump", "center": [0, 0, 1], "width": "0.5"}, "width"),
+    ({"kind": "bump", "center": [0, 0, 1], "equator_margin": math.inf}, "equator_margin"),
+    ({"kind": "axial_power", "p": False}, "p"),
+    ({"kind": "axial_power"}, "p"),
+    ({"kind": "basis", "nu": [1, 2, 1.0]}, "nu"),
+    ({"kind": "basis", "nu": [1, True, 1]}, "nu"),
+    ({"kind": "basis", "nu": [1, 2]}, "nu"),
+    ({"kind": "basis", "nu": [1, 2, 1], "lam": "1"}, "lam"),
+])
+def test_phantom_from_dict_checks_fields(d, field):
+    # description fields are checked, not cast: bools, strings, non-finite
+    # numbers and non-integer indices are rejected with the field's name
+    with pytest.raises(ValueError, match="field %s " % field):
+        Phantom.from_dict(d)
+
+
+def test_phantom_from_dict_keeps_numbers():
+    ph = Phantom.from_dict({"kind": "bump", "center": [0, 0, 1], "width": 1, "equator_margin": 0})
+    assert ph == Phantom("bump", center=(0.0, 0.0, 1.0), width=1.0)
+    assert all(type(c) is float for c in ph.center)
+    assert Phantom.from_dict({"kind": "basis", "nu": [1, 2, 1], "lam": None}).lam is None
+
+
 def test_compare_identity_and_scaling():
     f = make_phantom(Phantom("bump", center=(0.3, 0.25, 0.92), width=0.5), SPEC2)
     rep = compare(f, f, method="self")
@@ -376,8 +405,12 @@ def test_json_roundtrip(tmp_path):
     back = read_json(path)
     assert back["alpha"] == 1
     assert back["schema_version"] == 1
-    write_json(path, {"schema_version": 99})
-    with pytest.raises(ValueError, match="schema"):
+    for version in (99, True, 1.0, "1", None):
+        write_json(path, {"schema_version": version})
+        with pytest.raises(ValueError, match="schema_version"):
+            read_json(path)
+    path.write_text("[1]")
+    with pytest.raises(ValueError, match="JSON object"):
         read_json(path)
 
 

@@ -27,7 +27,9 @@ from vslice import (
     vslice_forward,
 )
 from vslice import grid, invert_hs, xform
+from vslice.acceptance import BUMP_N2, BUMP_N3, HALF_N2, HALF_N3, MARGIN_N2, MARGIN_N3
 from vslice.grid import _jacobi_rule
+from vslice.harness import make_phantom
 from vslice.invert_hs import _annulus_kernel
 from vslice.specfun import sphere_area
 from vslice.xform import (
@@ -40,6 +42,7 @@ from vslice.xform import (
     _legendre_table,
     _log_filter_matrix,
     _log_moment_matrix,
+    _meets_support,
     _node_spline,
     _plane_filter_matrix,
     _slice_quadrature,
@@ -412,6 +415,98 @@ def test_slice_quadrature_chunks(bump2, bump3):
             assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
             assert max(sizes) <= _QUADRATURE_POINTS
             assert sum(sizes) == count * Y.shape[0] * t.size
+
+
+def _capless(f):
+    """f with its evaluator behind a plain lambda, which carries no cap."""
+    ev = f.evaluator
+    return SphereFunction(f.grid, f.smooth, f.boundary_exponent, lambda p: ev(p))
+
+
+def _counted(f, sizes):
+    """f with an evaluator that appends the point count of every call to
+    `sizes` and names f's own as `__wrapped__`, so the cap stays visible."""
+    ev = f.evaluator
+
+    def counted(p):
+        sizes.append(np.size(p) // f.spec.n)
+        return ev(p)
+
+    counted.__wrapped__ = ev
+    return SphereFunction(f.grid, f.smooth, f.boundary_exponent, counted)
+
+
+@pytest.mark.parametrize("ph, spec", [
+    (BUMP_N2, HALF_N2), (BUMP_N3, HALF_N3), (MARGIN_N2, HALF_N2), (MARGIN_N3, HALF_N3),
+    (BUMP_N2, default_spec(2)),
+], ids=["bump2-half", "bump3-half", "margin2-half", "margin3-half", "bump2-default"])
+def test_cap_skip_is_bitwise(ph, spec):
+    # skipping the slices outside the bump's caps leaves the forward bitwise
+    # equal to the full slice loop of a cap-less evaluator
+    f = make_phantom(ph, spec)
+    assert np.array_equal(vslice_forward(f).values, vslice_forward(_capless(f)).values)
+
+
+@pytest.mark.parametrize("ph, spec", [(BUMP_N2, HALF_N2), (BUMP_N3, HALF_N3)], ids=["n2", "n3"])
+def test_cap_edge_slices(ph, spec):
+    # at 1e-12 from the offsets t = cos(phi -+ width), cos(phi) = theta . c', of
+    # the slices tangent to the cap, the skip path equals the full loop
+    f = make_phantom(ph, spec)
+    full = _capless(f)
+    c = np.asarray(ph.center) / np.linalg.norm(ph.center)
+    kept = []
+    for theta in f.grid.ang[::29]:
+        phi = math.acos(theta @ c[:-1])
+        t = np.array([math.cos(phi + s * ph.width) + d
+                      for s in (-1.0, 1.0) for d in (-1e-12, 1e-12)])
+        t = t[np.abs(t) < 1.0]
+        theta = theta[None, :]
+        kept.extend(_meets_support(f.evaluator, theta, t).ravel())
+        assert np.array_equal(_slice_quadrature(f, theta, t), _slice_quadrature(full, theta, t))
+    assert any(kept) and not all(kept)
+
+
+def test_spherical_mean_skips_a_miss():
+    # a slice that misses the cap is exactly 0 and costs no evaluator call
+    f = make_phantom(BUMP_N2, HALF_N2)
+    c = np.asarray(BUMP_N2.center) / np.linalg.norm(BUMP_N2.center)
+    theta = f.grid.ang[5]
+    phi = math.acos(theta @ c[:-1])
+    sizes = []
+    g = _counted(f, sizes)
+    miss = spherical_mean(g, theta, math.cos(phi + BUMP_N2.width + 0.1))
+    assert miss == 0.0 and math.copysign(1.0, miss) == 1.0
+    assert sizes == []
+    assert spherical_mean(g, theta, math.cos(phi)) > 0.0
+    assert sizes != []
+
+
+def test_cap_skip_counts_points():
+    # the evaluator sees 1536 points per slice that meets the cap and none
+    # elsewhere, at most _QUADRATURE_POINTS per call; multiples and sums of
+    # the bump carry no cap, so they take the full loop
+    f = make_phantom(BUMP_N3, HALF_N3)
+    grid = f.grid
+    Y, _ = _ball_rule(3, f.boundary_exponent)
+    assert Y.shape[0] == 1536
+    sel = np.arange(grid.n_ang_total) < grid.antipodal_index
+    c = np.asarray(BUMP_N3.center) / np.linalg.norm(BUMP_N3.center)
+    gap = np.abs(np.arccos(grid.t)[None, :] - np.arccos(grid.ang[sel] @ c[:-1])[:, None])
+    meets = gap < BUMP_N3.width
+    assert 0 < meets.sum() < meets.size
+    sizes = []
+    g = _counted(f, sizes)
+    F = vslice_forward(g).values
+    assert sum(sizes) == Y.shape[0] * meets.sum()
+    assert max(sizes) <= _QUADRATURE_POINTS
+    for h, calls in ((2.0 * g, 1), (g + g, 2)):
+        sizes.clear()
+        H = vslice_forward(h).values
+        assert sum(sizes) == calls * Y.shape[0] * meets.size
+        assert max(sizes) <= _QUADRATURE_POINTS
+        assert np.max(np.abs(H - 2.0 * F)) <= 1e-15 * np.max(np.abs(F))
+        # the full loop finds nothing on the skipped slices
+        assert not np.any(H[sel][~meets])
 
 
 # -- antipodal fold --------------------------------------------------------------
