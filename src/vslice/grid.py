@@ -14,7 +14,6 @@ from dataclasses import asdict, dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .specfun import jacobi_poly, log_gamma
 
@@ -69,14 +68,68 @@ def _read_only(out):
     return out
 
 
+def _jacobi_recurrence(npts, a, b):
+    """alpha_k (k < npts) and beta_k (k = 1..npts) of the monic Jacobi
+    polynomials: p_(k+1) = (x - alpha_k) p_k - beta_k p_(k-1).
+
+    alpha_0 and beta_1 take their closed forms, which stay finite where the
+    general ones are 0/0 (a + b = 0 and a + b = -1).
+    """
+    k = np.arange(1, npts, dtype=float)
+    s = 2.0 * k + a + b
+    alpha = np.empty(npts)
+    alpha[0] = (b - a) / (a + b + 2.0)
+    alpha[1:] = (b * b - a * a) / (s * (s + 2.0))
+    k = np.arange(2, npts + 1, dtype=float)
+    s = 2.0 * k + a + b
+    beta = np.empty(npts)
+    beta[0] = 4.0 * (1.0 + a) * (1.0 + b) / ((a + b + 2.0) ** 2 * (a + b + 3.0))
+    beta[1:] = 4.0 * k * (k + a) * (k + b) * (k + a + b) / (s * s * (s + 1.0) * (s - 1.0))
+    return alpha, beta
+
+
 @lru_cache(maxsize=256)
 def _jacobi_rule(npts, a, b):
-    """Gauss-Jacobi nodes/weights for weight (1-x)^a (1+x)^b on (-1, 1), read-only.
+    """Gauss-Jacobi nodes (ascending) and weights for the weight
+    (1-x)^a (1+x)^b on (-1, 1), read-only.
 
-    The package's one call of scipy's Gauss rules; scipy's roots_jacobi hands
-    a = b = 0 to roots_legendre, so that case is the Gauss-Legendre rule.
+    Golub & Welsch (Math. Comp. 23, 1969): the nodes are the eigenvalues of
+    the symmetric Jacobi matrix, polished by two Newton steps on the
+    orthonormal polynomial q_npts through its three-term recurrence; the
+    weights are the Christoffel function 1 / sum_(k < npts) q_k(x)^2, a sum
+    of positive terms, with q_0^2 = 1 / mu_0 the weight's total mass.  At
+    a = b = -1/2 it is the closed-form Gauss-Chebyshev rule, weights exactly
+    pi / npts.
     """
-    return _read_only(roots_jacobi(npts, a, b))
+    if not _is_integer(npts) or npts < 1:
+        raise ValueError("the node count must be an integer >= 1")
+    a, b = float(a), float(b)
+    if not (a > -1.0 and b > -1.0):
+        raise ValueError("Jacobi parameters must exceed -1")
+    if a == b == -0.5:
+        x = np.sin(np.pi * np.arange(1 - npts, npts, 2) / (2 * npts))
+        return _read_only((x, np.full(npts, np.pi / npts)))
+    alpha, beta = _jacobi_recurrence(npts, a, b)
+    root = np.sqrt(beta)
+    x = np.linalg.eigvalsh(np.diag(alpha) + np.diag(root[:-1], 1) + np.diag(root[:-1], -1))
+    log_mu0 = (
+        (a + b + 1.0) * math.log(2.0)
+        + math.lgamma(a + 1.0) + math.lgamma(b + 1.0) - math.lgamma(a + b + 2.0)
+    )
+    for newton in (True, True, False):
+        # q_k and q_k' at x, k = 0..npts; total = sum_(k < npts) q_k^2
+        q_prev, q = np.zeros_like(x), np.full_like(x, math.exp(-0.5 * log_mu0))
+        d_prev, d = np.zeros_like(x), np.zeros_like(x)
+        total = q * q
+        for k in range(npts):
+            back = root[k - 1] if k else 0.0
+            q_prev, q = q, ((x - alpha[k]) * q - back * q_prev) / root[k]
+            d_prev, d = d, ((x - alpha[k]) * d + q_prev - back * d_prev) / root[k]
+            if k < npts - 1:
+                total += q * q
+        if newton:
+            x = x - q / d
+    return _read_only((x, 1.0 / total))
 
 
 def _symmetrize(x):

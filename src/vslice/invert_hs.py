@@ -12,19 +12,16 @@ the whole truncated sum commutes with the backprojection: it acts on each
 t-profile as one radial multiplier m(sigma) = sum_q W_q (1 - J0(rho_q sigma)),
 a t-filter like john's that goes through the same harmonic kernel
 (`xform._radial_kernel`).  The annulus formula and its constant are this
-route's own.
+route's own.  The route runs on numpy alone: the profiles are filtered with
+numpy's real FFT on a period of 5-smooth length, and J0 is the module's own
+`_j0`, which matches scipy's to 1e-15 absolute over every argument formed.
 """
 
 import math
 from functools import lru_cache
 
 import numpy as np
-from scipy import fft
-
-# benchmarks/layers.py counts spline resamples through this name; the route
-# makes none, so the count reads 0
-from scipy.ndimage import map_coordinates  # noqa: F401
-from scipy.special import j0
+from numpy.polynomial.polynomial import polyval
 
 from .grid import BallFunction, _jacobi_rule, _read_only, project
 from .invert_john import _plane_data
@@ -38,6 +35,75 @@ PANEL_NODES = 8  # Gauss-Legendre nodes per geometric radial panel
 # arcsine kernels are smooth there and are applied in space.
 FAR_RADIUS = 2.0
 STEP = 1.0 / 4096  # offset step of the periodic profiles the multiplier acts on
+
+# J0 below J0_SPLIT: the 64-node periodic trapezoid of (1/2 pi) int cos(x sin phi),
+# whose error 2 (J_64(x) + J_128(x) + ...) is below 1e-17 there, folded to the
+# quarter period: nodes phi = pi j / 32, j = 0..16, weights 1, 2, ..., 2, 1 over 32
+J0_SPLIT = 25.0
+_FOLD_SINES = np.sin(np.pi * np.arange(1, 16) / 32.0)
+
+
+def _hankel_coefficients(terms):
+    """(-1)^i a_2i and (-1)^i a_(2i+1), i < terms, of Hankel's expansion of J0,
+    a_k = prod_(j <= k) (-(2j - 1)^2) / (k! 8^k)."""
+    a = [1.0]
+    for k in range(1, 2 * terms):
+        a.append(a[-1] * -((2.0 * k - 1.0) ** 2) / (8.0 * k))
+    sign = (-1.0) ** np.arange(terms)
+    return sign * np.array(a[0::2]), sign * np.array(a[1::2])
+
+
+# at x >= J0_SPLIT the first terms left out are below 2e-19
+_HANKEL_P, _HANKEL_Q = _hankel_coefficients(12)
+
+
+def _j0(x):
+    """Bessel J0, vectorized, to about 1e-15 absolute over the arguments
+    rho sigma <= 26 000 that `_annulus_kernel` forms.
+
+    Below J0_SPLIT the folded trapezoid above; from it up Hankel's asymptotic
+    form sqrt(2 / (pi x)) (P cos(x - pi/4) - Q sin(x - pi/4)), P and Q series
+    in 1 / x^2 and 1 / x.  The phase x - pi/4 is rounded as scipy's (Cephes)
+    j0 rounds it, so at large x the two share its error of about
+    ulp(x) sqrt(2 / (pi x)), 8e-15 at x = 26 000.
+    """
+    x = np.abs(np.asarray(x, dtype=float))
+    out = np.empty_like(x)
+    near = x < J0_SPLIT
+    xn = x[near]
+    folded = np.cos(np.multiply.outer(xn, _FOLD_SINES)).sum(-1)
+    out[near] = (1.0 + np.cos(xn) + 2.0 * folded) / 32.0
+    xf = x[~near]
+    z = 1.0 / (xf * xf)
+    phase = xf - 0.25 * np.pi
+    out[~near] = np.sqrt(2.0 / (np.pi * xf)) * (
+        polyval(z, _HANKEL_P) * np.cos(phase) - polyval(z, _HANKEL_Q) / xf * np.sin(phase)
+    )
+    return out
+
+
+def _next_smooth(count):
+    """The least integer >= count with no prime factor above 5, a fast FFT length."""
+    while True:
+        m = count
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return count
+        count += 1
+
+
+def __getattr__(name):
+    # benchmarks/layers.py counts spline resamples through
+    # invert_hs.map_coordinates; the route makes none, so the count reads 0.
+    # scipy is imported only when that lookup happens (the benchmark's
+    # --trace 1); ROADMAP direction 1 deletes this with the lookup.
+    if name == "map_coordinates":
+        from scipy.ndimage import map_coordinates
+
+        return map_coordinates
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 
 def _annulus_rule(eps, r_max):
@@ -66,7 +132,7 @@ def _annulus_kernel(grid, eps, r_max, tail_correction):
     The profile of each node's cardinal function is the natural spline of
     `_node_spline`, zero outside [-1, 1], sampled by `_spline` where |v| < 1
     on a periodic grid of step STEP.  Radii below FAR_RADIUS act through J0
-    with one real FFT per profile; the period exceeds FAR_RADIUS + 2, so no
+    (`_j0`) with one real FFT per profile; the period exceeds FAR_RADIUS + 2, so no
     periodic copy of a profile reaches an offset inside the unit ball.  Each larger radius rho
     acts as g - A_rho g, where A_rho convolves with the arcsine density
     1 / (pi sqrt(rho^2 - u^2)) on |u| < rho: the data reach it only at
@@ -75,7 +141,7 @@ def _annulus_kernel(grid, eps, r_max, tail_correction):
     grows only with the number of panels, like log(r_max).  The filtered
     profiles are read at `_kernel_offsets` by linear interpolation.
     """
-    count = fft.next_fast_len(math.ceil((FAR_RADIUS + 2.0) / STEP) + 1, real=True)
+    count = _next_smooth(math.ceil((FAR_RADIUS + 2.0) / STEP) + 1)
     k = np.arange(count)
     v = STEP * np.where(2 * k < count, k, k - count)
     samples = np.zeros((grid.t.size, count))
@@ -84,18 +150,18 @@ def _annulus_kernel(grid, eps, r_max, tail_correction):
 
     rho, weight = _annulus_rule(eps, r_max)
     far = rho >= FAR_RADIUS
-    sigma = 2.0 * np.pi * fft.rfftfreq(count, STEP)
-    m = weight[~far] @ (1.0 - j0(np.outer(rho[~far], sigma)))
+    sigma = 2.0 * np.pi * np.fft.rfftfreq(count, STEP)
+    m = weight[~far] @ (1.0 - _j0(np.outer(rho[~far], sigma)))
     reach = np.abs(v) < FAR_RADIUS
     kernel = np.zeros(count)
     kernel[reach] = weight[far] @ (
         1.0 / (np.pi * np.sqrt(rho[far, None] ** 2 - v[None, reach] ** 2))
     )
-    m += weight[far].sum() - STEP * fft.rfft(kernel).real
+    m += weight[far].sum() - STEP * np.fft.rfft(kernel).real
     if tail_correction:
         m += 2.0 * np.pi / r_max
 
-    filtered = fft.irfft(m * fft.rfft(samples), n=count)
+    filtered = np.fft.irfft(m * np.fft.rfft(samples), n=count)
     pos = _kernel_offsets(grid) / STEP
     lo = np.floor(pos).astype(int)
     frac = pos - lo

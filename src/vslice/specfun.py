@@ -10,7 +10,6 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammaln
 
 
 class SvdIndex(NamedTuple):
@@ -31,7 +30,7 @@ def log_gamma(x):
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0):
         raise ValueError("log_gamma requires x > 0")
-    out = gammaln(x)
+    out = np.vectorize(math.lgamma, otypes=[float])(x)
     return float(out) if out.ndim == 0 else out
 
 
@@ -177,7 +176,7 @@ def svd_constants(n, lam, nu):
         raise ValueError("need a finite lam > n/2 - 1")
     if m < 0 or k < 0:
         raise ValueError("need m, k >= 0")
-    lg = gammaln
+    lg = math.lgamma
     log_c2 = (
         math.log(2.0)
         + lg(k + 1.0)
@@ -215,7 +214,7 @@ def radon_norm(n, lam):
     if not (math.isfinite(lam) and lam > n / 2 - 1):
         raise ValueError("need a finite lam > n/2 - 1")
     return math.sqrt(
-        math.pi ** ((n - 1) / 2.0) * math.exp(gammaln(lam - n / 2.0 + 1.0) - gammaln(lam + 0.5))
+        math.pi ** ((n - 1) / 2.0) * math.exp(math.lgamma(lam - n / 2.0 + 1.0) - math.lgamma(lam + 0.5))
     )
 
 

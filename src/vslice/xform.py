@@ -46,7 +46,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.chebyshev import chebder, chebvander
 
-from .grid import SliceData, SphereFunction, _jacobi_rule, _read_only, _symmetrize
+from .grid import SliceData, SphereFunction, _is_integer, _jacobi_rule, _read_only, _symmetrize
 from .specfun import _norm_assoc_legendre, sphere_area
 
 # Radial node counts of the slice rule by n: chords at n = 2, disk radii at
@@ -359,8 +359,8 @@ def vslice_direct(f, theta, t, chord_nodes=None):
         raise ValueError("need |t| < 1")
     n = f.spec.n
     theta = _unit_direction(theta, n)
-    if chord_nodes is not None and chord_nodes < 1:
-        raise ValueError("chord_nodes must be >= 1")
+    if chord_nodes is not None and not (_is_integer(chord_nodes) and chord_nodes >= 1):
+        raise ValueError("chord_nodes must be an integer >= 1")
     e = f.boundary_exponent
     r = math.sqrt(1.0 - t * t)
     if n == 2:

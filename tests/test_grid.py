@@ -1,3 +1,4 @@
+import decimal
 import json
 import math
 
@@ -18,6 +19,7 @@ from vslice.grid import (
     norm_slices,
     project,
 )
+from vslice.grid import _jacobi_rule
 from vslice.specfun import sphere_area
 
 
@@ -98,25 +100,44 @@ def test_t_weights_exact_moments(grid):
         assert abs(np.sum(w * grid.t**3)) < 1e-13
 
 
-def _gauss_legendre_weights_mp(n):
-    """Weights of the n-point Gauss-Legendre rule to 40 digits, ascending nodes.
+def _gauss_jacobi_weights_mp(npts, a, b, nodes):
+    """Gauss-Jacobi weights at 34 digits, one per node, polished from `nodes`.
 
-    Newton on P_n from the classical cosine guesses, then w = 2 / ((1-x^2) P_n'(x)^2).
+    One Newton step on P_npts^(a,b) by its three-term recurrence, then
+    w = C / ((1-x^2) P'(x)^2) with C = 2^(a+b+1) G(n+a+1) G(n+b+1) / (G(n+a+b+1) n!)
+    from mpmath.  The recurrence runs in decimal arithmetic, which is some
+    fifty times faster here than mpmath's pure-Python numbers.
     """
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(40):
-        out = []
-        for k in range(n, 0, -1):
-            x = mpmath.cos(mpmath.pi * (k - 0.25) / (n + 0.5))
-            for _ in range(50):
-                p = mpmath.legendre(n, x)
-                dp = n * (mpmath.legendre(n - 1, x) - x * p) / (1 - x * x)
-                x -= p / dp
-                if abs(p / dp) < mpmath.mpf(10) ** -36:
-                    break
-            # dp was taken within 1e-36 of the root: far below double precision
-            out.append(float(2 / ((1 - x * x) * dp * dp)))
-    return np.array(out)
+        am, bm = mpmath.mpf(a), mpmath.mpf(b)
+        const = (
+            2 ** (am + bm + 1) * mpmath.gamma(npts + am + 1) * mpmath.gamma(npts + bm + 1)
+            / (mpmath.gamma(npts + am + bm + 1) * mpmath.factorial(npts))
+        )
+        const = mpmath.nstr(const, 36)
+    D = decimal.Decimal
+    with decimal.localcontext(prec=34):
+        a, b = D(a), D(b)
+        # P_j = (A_j x + B_j) P_(j-1) - C_j P_(j-2), j = 1..npts
+        coeffs = [((a + b + 2) / 2, (a - b) / 2, D(0))]
+        for j in range(2, npts + 1):
+            s = 2 * j + a + b
+            c1 = 2 * j * (j + a + b) * (s - 2)
+            coeffs.append((
+                (s - 1) * s * (s - 2) / c1,
+                (s - 1) * (a * a - b * b) / c1,
+                2 * (j + a - 1) * (j + b - 1) * s / c1,
+            ))
+        x = np.array([D(float(v)) for v in nodes], dtype=object)
+        for newton in (True, False):
+            p_prev, p, d_prev, d = 0 * x, 0 * x + 1, 0 * x, 0 * x
+            for A, B, C in coeffs:
+                f = A * x + B
+                p_prev, p, d_prev, d = p, f * p - C * p_prev, d, f * d + A * p - C * d_prev
+            if newton:
+                x = x - p / d
+        return np.array([float(v) for v in D(const) / ((1 - x * x) * d * d)])
 
 
 @pytest.mark.parametrize("n_polar", [8, 16])
@@ -124,8 +145,71 @@ def test_polar_weights_native(n_polar):
     # n = 3 polar cosines are Gauss-Legendre nodes; their weights must be too
     g = make_grid(GridSpec(3, n_polar, 8, 8))
     assert np.array_equal(g.polar_weight, g.polar_weight[::-1])
-    ref = _gauss_legendre_weights_mp(n_polar)
+    ref = _gauss_jacobi_weights_mp(n_polar, 0, 0, g.polar_cos)
     assert np.max(np.abs(g.polar_weight / ref - 1.0)) < 1e-14
+
+
+# every (count, a, b) the default and half grids use: the polar rules (n = 3),
+# the radial rules, the slice rules for the stored exponents e = 0, 1/2, 1
+# (a = e - 1/2), the n = 3 Funk-Hecke rule and the hs panels
+GRID_RULES = [
+    (32, 0.0, 0.0), (16, 0.0, 0.0), (96, 0.0, 0.0), (48, 0.0, 0.5), (24, 0.0, 0.5),
+    (160, 0.0, 0.0), (160, 0.5, 0.5), (48, -0.5, 0.0), (48, 0.0, 0.0), (48, 0.5, 0.0),
+    (128, 0.0, 0.0), (64, 0.0, 0.0), (8, 0.0, 0.0),
+]
+
+
+@pytest.mark.parametrize("npts, a, b", GRID_RULES)
+def test_jacobi_rule_matches_scipy_and_mpmath(npts, a, b):
+    # scipy is a test-only reference for the nodes: within 2 ulp of the
+    # interval's scale (per-node ulps near 0 are finer than either rule
+    # resolves).  The weights are pinned to 34-digit ones; scipy's own are off
+    # by up to 5e-11 at these sizes.
+    roots_jacobi = pytest.importorskip("scipy.special").roots_jacobi
+    x, w = _jacobi_rule(npts, a, b)
+    xs, _ = roots_jacobi(npts, a, b)
+    assert np.all(np.diff(x) > 0)
+    assert np.max(np.abs(x - xs)) <= 2 * np.spacing(1.0)
+    ref = _gauss_jacobi_weights_mp(npts, a, b, x)
+    assert np.max(np.abs(w / ref - 1.0)) < 1e-12
+
+
+@pytest.mark.parametrize("npts", [1, 2, 48, 160])
+def test_jacobi_rule_chebyshev_closed_form(npts):
+    # a = b = -1/2 is Gauss-Chebyshev: weights exactly pi / npts, nodes
+    # exactly antisymmetric
+    x, w = _jacobi_rule(npts, -0.5, -0.5)
+    assert np.array_equal(w, np.full(npts, np.pi / npts))
+    assert np.array_equal(x, -x[::-1])
+    k = np.arange(npts, 0, -1)
+    assert np.max(np.abs(x - np.cos((2 * k - 1) * np.pi / (2 * npts)))) <= 2 * np.spacing(1.0)
+
+
+def test_jacobi_rule_beta1_closed_form():
+    # a + b = -1 makes the general beta_1 0/0; the rule still integrates
+    # (1-x)^a (1+x)^b x^k exactly for k < 2 npts
+    mpmath = pytest.importorskip("mpmath")
+    a, b = -0.7, -0.3
+    x, w = _jacobi_rule(5, a, b)
+    for k in range(10):
+        # x = 2u - 1: 2^(a+b+1) int_0^1 (1-u)^a u^b (2u - 1)^k du, summed at
+        # 30 digits since its terms cancel
+        with mpmath.workdps(30):
+            am, bm = mpmath.mpf(a), mpmath.mpf(b)
+            ref = 2 ** (am + bm + 1) * mpmath.fsum(
+                math.comb(k, j) * 2**j * (-1) ** (k - j) * mpmath.beta(j + bm + 1, am + 1)
+                for j in range(k + 1)
+            )
+        assert abs(np.sum(w * x**k) - float(ref)) < 1e-14
+
+
+def test_jacobi_rule_rejections():
+    for npts in (2.5, 0, True, -3):
+        with pytest.raises(ValueError, match="integer"):
+            _jacobi_rule(npts, 0.0, 0.0)
+    for a, b in ((-1.0, 0.0), (0.0, -1.0), (-2.0, 0.5)):
+        with pytest.raises(ValueError, match="exceed -1"):
+            _jacobi_rule(8, a, b)
 
 
 @pytest.mark.parametrize("n_t", [16, 64])

@@ -4,9 +4,20 @@ import numpy as np
 import pytest
 from scipy.special import roots_legendre
 
-from vslice.grid import GridSpec, SliceData, inner_product_sphere
+from vslice import invert_hs
+from vslice.grid import GridSpec, SliceData, default_spec, inner_product_sphere, make_grid
 from vslice.harness import Phantom, compare, make_phantom
-from vslice.invert_hs import DEFAULT_EPS, PANEL_NODES, invert_hypersingular
+from vslice.invert_hs import (
+    DEFAULT_EPS,
+    FAR_RADIUS,
+    J0_SPLIT,
+    PANEL_NODES,
+    STEP,
+    _annulus_kernel,
+    _j0,
+    _next_smooth,
+    invert_hypersingular,
+)
 from vslice.invert_john import invert_john
 from vslice.specfun import method_constants
 from vslice.xform import dual_radon, vslice_forward
@@ -109,3 +120,37 @@ def test_matches_spatial_annulus_sum(round2):
     rec = invert_hypersingular(F).smooth
     got = rec.reshape(-1)[idx]
     assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(rec))
+
+
+def test_j0_matches_scipy():
+    # over every rho sigma the annulus kernel forms (rho < FAR_RADIUS, sigma up
+    # to the Nyquist frequency pi / STEP), densely on both sides of the switch
+    # from the trapezoid to the Hankel series
+    j0 = pytest.importorskip("scipy.special").j0
+    top = FAR_RADIUS * np.pi / STEP
+    x = np.concatenate([
+        np.linspace(0.0, top, 400_001),
+        np.linspace(J0_SPLIT - 1.0, J0_SPLIT + 1.0, 20_001),
+        [J0_SPLIT, np.nextafter(J0_SPLIT, 0.0)],
+    ])
+    assert np.max(np.abs(_j0(x) - j0(x))) <= 1e-15
+    assert np.array_equal(_j0(-x), _j0(x))
+
+
+def test_fft_length_is_scipys():
+    # the period is the 5-smooth length scipy's next_fast_len(real=True)
+    # picked, so the kernel's offsets did not move when scipy left the route
+    next_fast_len = pytest.importorskip("scipy.fft").next_fast_len
+    assert _next_smooth(12_289) == 12_500
+    for count in range(1, 20_000, 37):
+        assert _next_smooth(count) == next_fast_len(count, real=True)
+
+
+def test_annulus_kernel_owned_j0_matches_scipys(monkeypatch):
+    # the default-grid kernel with scipy's J0 in place of the owned one
+    j0 = pytest.importorskip("scipy.special").j0
+    grid = make_grid(default_spec(2))
+    K = _annulus_kernel(grid, DEFAULT_EPS, 4.0, True)
+    monkeypatch.setattr(invert_hs, "_j0", j0)
+    ref = _annulus_kernel.__wrapped__(grid, DEFAULT_EPS, 4.0, True)
+    assert np.max(np.abs(K - ref)) <= 1e-13 * np.max(np.abs(ref))

@@ -71,16 +71,39 @@ def test_benchmark_trace_layers_exist():
     assert callable(importlib.import_module("vslice.invert_hs").map_coordinates)
 
 
-def test_cli_import_leaves_heavy_scipy_out():
-    # every CLI call starts with this import; scipy's interpolate, optimize,
-    # linalg and sparse would add about 0.3 s to it, and no computation needs them
-    code = "import sys; sys.path.insert(0, %r); import vslice.cli; print(*sys.modules)"
+RUN_PATHS = """
+import os, sys, tempfile
+sys.path.insert(0, %r)
+import vslice.cli
+import vslice as vs
+from vslice.acceptance import BUMP_N3, HALF_N2, HALF_N3, MARGIN_N2
+
+for spec, phantom in ((HALF_N2, MARGIN_N2), (HALF_N3, BUMP_N3)):
+    f = vs.make_phantom(phantom, spec)
+    F = vs.vslice_forward(f)
+    vs.vslice_forward(vs.SphereFunction(f.grid, f.smooth, f.boundary_exponent))
+    vs.invert_john(F)
+    vs.reconstruct(F)
+    if spec.n == 2:
+        vs.invert_ac(F)
+        vs.invert_hypersingular(F)
+        with tempfile.TemporaryDirectory() as tmp:
+            vs.write_vsl(os.path.join(tmp, "F.vsl"), F)
+            vs.read_vsl(os.path.join(tmp, "F.vsl"))
+print(*sys.modules)
+"""
+
+
+def test_run_paths_leave_scipy_out():
+    # scipy is a test dependency only: the CLI import, both forwards and every
+    # inversion at both n, and a .vsl round trip load none of it, so no call
+    # pays its 0.35-0.45 s start-up
     out = subprocess.run(
-        [sys.executable, "-c", code % os.path.join(ROOT, "src")],
+        [sys.executable, "-c", RUN_PATHS % os.path.join(ROOT, "src")],
         capture_output=True, text=True, check=True,
     )
-    heavy = {"scipy.interpolate", "scipy.optimize", "scipy.linalg", "scipy.sparse"}
-    assert not heavy & set(out.stdout.split())
+    loaded = [m for m in out.stdout.split() if m == "scipy" or m.startswith("scipy.")]
+    assert not loaded
 
 
 def _demo_imports(path):

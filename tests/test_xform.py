@@ -136,6 +136,20 @@ def test_direct_requires_evaluator_and_interior_t(g2, bump2):
         vslice_direct(bump2, (1.0, 0.0), 0.2, chord_nodes=0)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_direct_chord_nodes_must_be_counts(n, bump2, bump3):
+    # n = 2 used to take a float or bool as a node count: on acceptance's
+    # BUMP_N2 at theta = (0.6, 0.8), t = 0.3, 2.5 gave 0.975 and True 1.39
+    # against 0.585
+    f, theta = (bump2, (0.6, 0.8)) if n == 2 else (bump3, (0.6, 0.8, 0.0))
+    for count in (2.5, True, 0, -4, 64.0):
+        with pytest.raises(ValueError, match="chord_nodes"):
+            vslice_direct(f, theta, 0.3, chord_nodes=count)
+    assert vslice_direct(f, theta, 0.3, chord_nodes=np.int64(64)) == vslice_direct(
+        f, theta, 0.3, chord_nodes=64
+    )
+
+
 def test_direct_constant_n3(g3):
     one = SphereFunction(
         g3, np.ones((g3.n_ang_total, 32)), 0.0, lambda p: np.ones(np.asarray(p).shape[:-1])
