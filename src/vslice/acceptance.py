@@ -153,19 +153,12 @@ def _rel_l2_change(a, b):
 
 
 def criterion_1(ws):
-    """Forward equivalence: independent slice quadrature vs the lifted route."""
+    """Forward equivalence: an independent chord quadrature vs the spectral
+    forward, at every (direction, offset) node."""
     phantom = ws.bump2()
     F = ws.slices2()
     grid = F.grid
-
-    def direct_table():
-        out = np.empty((grid.n_ang_total, len(grid.t)))
-        for a in range(grid.n_ang_total):
-            for j, t in enumerate(grid.t):
-                out[a, j] = vslice_direct(phantom, grid.ang[a], t)
-        return out
-
-    direct = ws.get("direct2", direct_table)
+    direct = ws.get("direct2", lambda: vslice_direct(phantom, grid.ang[:, None, :], grid.t))
     dev = float(np.max(np.abs(direct - F.values)) / np.max(np.abs(F.values)))
     runtime = ws.seconds("slices2") + ws.seconds("direct2")
     passed = dev <= 1e-6 and runtime < 10.0

@@ -136,8 +136,8 @@ def _bump_evaluator(center, width, margin, n):
 
     The returned function carries `cap = (c, cos(width))`, c the unit centre
     in R^(n+1): it is exactly 0 at every point whose lift x has x . c <=
-    cos(width) and x . (c', -c_{n+1}) <= cos(width), so the slice quadrature
-    may skip the slices that stay outside both caps.
+    cos(width) and x . (c', -c_{n+1}) <= cos(width), so the forward may set
+    the slices that stay outside both caps to exactly 0.
     """
     center = np.asarray(center, dtype=float)
     center = center / np.linalg.norm(center)

@@ -142,11 +142,11 @@ def _synthesis(grid, indices, amplitudes, profiles):
 def sphere_basis_grid(nu, lam, grid):
     """Hemisphere singular function sampled on a grid, exact boundary exponent.
 
-    Samples only, with no evaluator, so `vslice_forward` takes the harmonic
-    path.  That path is exact on these samples when the grid resolves the
-    index: m < n_angular / 2 at n = 2 and m < n_angular (the polar count) at
-    n = 3, which `_columns` enforces, and m // 2 + k < n_radial,
-    which `make_phantom` enforces.
+    Samples only, with no evaluator, so `vslice_forward` applies its harmonic
+    kernel to them on their own grid.  That is exact on them when the grid
+    resolves the index: m < n_angular / 2 at n = 2 and m < n_angular (the
+    polar count) at n = 3, which `_columns` enforces, and
+    m // 2 + k < n_radial, which `make_phantom` enforces.
     """
     return synthesize_sphere(SpectralCoeffs(lam, [SvdIndex(*nu)], [1.0]), grid)
 

@@ -4,31 +4,27 @@ The forward map sends an even function on the sphere to its integrals over
 the vertical half slices indexed by an equatorial direction theta and an
 offset t.  In the upper-hemisphere chart that integral factors through the
 hyperplane Radon transform of the lifted ball function, which is what the
-production path computes.  Both forward paths integrate over one slice rule,
-`_slice_rule`: signed chord nodes at n = 2, disk radii at n = 3, of the
-slice's unit (n-1)-ball.  Whether a function carries an evaluator selects
-the path.  A function with one (the bump, constant and axial-power
-phantoms) goes through one slice quadrature (`_slice_quadrature` on the
-nodes of `_ball_rule`, the slice rule crossed with azimuths at n = 3),
-which also serves spherical means; the forward runs it over one direction
-per antipodal pair and fills the partner by evenness.  It evaluates only the
-(direction, offset) slices that meet the evaluator's support: an evaluator
-may carry a `cap` (the bump's does, see `harness._bump_evaluator`) outside
-which it vanishes, and the slices that miss it stay exactly 0.  The slices it
-keeps go to the evaluator in chunks, so each call sees a bounded number of
-points however many directions the grid has.  Sampled
-functions, singular basis functions among them, take the harmonic layer
-instead.  By Funk-Hecke a degree-l harmonic integrated over a slice, or
-backprojected, picks up the zonal polynomial of a cosine (`_zonal_table`:
-T_l at n = 2, Legendre P_l at n = 3), so the forward and the backprojection
-of t-filtered profiles are one radial matrix per harmonic degree, which
-`_harmonic_apply` applies between `_analyse` (an azimuthal rFFT, then a
-Legendre sum per order at n = 3; svd's expansions use it too) and
-`_synthesise`.  The forward's matrix (`_forward_kernel`) folds the slice
-rule and the radial interpolation in u = r^2; its rule grows with n_radial,
-so it is exact for every band-limited sample the grid resolves.
-``vslice_direct`` quadratures the slice integral from scratch in a different
-chart and serves as the independent oracle.
+production path computes, in the harmonic layer.  By Funk-Hecke a degree-l
+harmonic integrated over a slice, or backprojected, picks up the zonal
+polynomial of a cosine (`_zonal_table`: T_l at n = 2, Legendre P_l at
+n = 3), so the forward and the backprojection of t-filtered profiles are one
+radial matrix per harmonic degree, which `_harmonic_apply` applies between
+`_analyse` (an azimuthal rFFT, then a Legendre sum per order at n = 3; svd's
+expansions use it too) and `_synthesise`.  The forward's matrix
+(`_forward_kernel`) folds the slice rule `_slice_rule` (signed chord nodes at
+n = 2, disk radii at n = 3) and the radial interpolation in u = r^2; its
+rule grows with n_radial, so it is exact for every band-limited sample the
+grid resolves.  Sampled functions, singular basis functions among them, go
+through it on their own grid.  A function with an evaluator (the bump,
+constant and axial-power phantoms) is sampled on a finer chart first
+(`FINE_CHART`), which removes the aliasing of the grid's samples, and the
+result is synthesised at the grid's directions.  The evaluator may carry a
+`cap` (the bump's does, see `harness._bump_evaluator`) outside which it
+vanishes: the slices that miss it (`_meets_support`) are set to exactly 0.
+The forward keeps one direction per antipodal pair and fills the partner by
+evenness.  ``vslice_direct`` quadratures the slice integral from scratch in
+a different chart and serves as the independent oracle; `spherical_mean` is
+its V = 2 V_+ rescaling.
 
 Also here: the dual (backprojection) operator `dual_radon`, the spatial
 oracle, and the t-filter kernels of the filtered routes: `john` and `ac`
@@ -38,7 +34,6 @@ the t-profiles, the natural cubic spline through the nodes pinned to zero at
 t = +-1: `_node_spline` builds it once as a table (knot values and knot
 second derivatives) and `_spline` is its one evaluator.
 """
-
 import inspect
 import math
 from functools import lru_cache
@@ -46,22 +41,26 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.chebyshev import chebder, chebvander
 
-from .grid import SliceData, SphereFunction, _is_integer, _jacobi_rule, _read_only, _symmetrize
+from .grid import (
+    GridSpec, SliceData, SphereFunction, _is_integer, _jacobi_rule, _read_only, _symmetrize,
+    make_grid,
+)
 from .specfun import _norm_assoc_legendre, sphere_area
 
-# Radial node counts of the slice rule by n: chords at n = 2, disk radii at
-# n = 3.  The rule is spectrally accurate but compactly supported bumps
-# converge slowly enough that generous sizes are needed; 160 chords puts a
-# width-0.7 bump at ~1e-11 absolute error, and 48 radii at ~2e-7.  The
-# sampled forward takes at least n_radial nodes, which makes it exact.
-SLICE_NODES = {2: 160, 3: 48}
+# Floor of the fine chart an evaluator is sampled on (`_fine_grid`), by n:
+# (angles, radii), the circle's angles at n = 2 and polar nodes at n = 3.
+# On it the bump phantoms' forward is within 2e-8 of the peak of the
+# benchmark's oracle on every grid tested; plain multiples of the grid's
+# counts are not enough on small grids (2x the radii at n = 2 reads 9.4e-5
+# on GridSpec(2, 64, 24, 32)).
+FINE_CHART = {2: (256, 192), 3: (96, 144)}
+
+# Most chart points one evaluator call is passed: the forward samples the
+# fine chart, and `vslice_direct` its slices, in chunks of this many, so the
+# evaluator's temporaries stay small however large the chart or the table.
+_EVALUATOR_POINTS = 1 << 16
 
 _BACKPROJECT_CHUNK = 4096
-
-# Most evaluator points one slice-quadrature call passes at once.  The bump
-# evaluator's temporaries (120 kB each) then stay in the heap instead of
-# faulting in fresh pages; below 1 << 13 the per-call overhead shows.
-_QUADRATURE_POINTS = 1 << 14
 
 
 def _barycentric_matrix(grid, query):
@@ -86,12 +85,15 @@ def _barycentric_matrix(grid, query):
 
 
 @lru_cache(maxsize=8)
-def _legendre_table(grid):
-    """P[j, l, p] = Pbar_l^j at the n = 3 polar node c_p (0 for l < j), read-only."""
+def _legendre_table(grid, at):
+    """P[j, l, p] = Pbar_l^j (0 for l < j) for the orders j and degrees l of
+    the n = 3 grid at the polar node c_p of the grid `at` (grid itself for
+    its own transforms), read-only."""
     L = grid.n_polar
-    P = np.zeros((L, L, L))
+    c = at.polar_cos
+    P = np.zeros((L, L, c.size))
     for j in range(L):
-        P[j, j:] = list(_norm_assoc_legendre(L - 1, j, grid.polar_cos))
+        P[j, j:] = list(_norm_assoc_legendre(L - 1, j, c))
     return _read_only(P)
 
 
@@ -107,19 +109,28 @@ def _analyse(grid, values):
     L, k = grid.n_polar, values.shape[1]
     rings = values.reshape(L, 2 * L, k) * grid.polar_weight[:, None, None]
     modes = np.fft.rfft(rings, axis=1)[:, :L].transpose(1, 0, 2)
-    coef = _legendre_table(grid) @ np.ascontiguousarray(modes).view(float)
+    coef = _legendre_table(grid, grid) @ np.ascontiguousarray(modes).view(float)
     return coef.reshape(L, L, k, 2).transpose(1, 2, 0, 3).reshape(L, k, 2 * L)
 
 
-def _synthesise(grid, coef):
+def _synthesise(grid, coef, at=None):
     """Samples (n_ang_total, k) of the harmonics with coefficients `coef`, laid
-    out as `_analyse` returns them; the inverse of `_analyse` on its band."""
+    out as `_analyse` returns them; the inverse of `_analyse` on its band.
+
+    With `at`, a grid whose azimuths are every step-th of grid's (`_fine_grid`
+    makes them), the samples at at's directions instead: at n = 2 every
+    step-th direction, at n = 3 the Legendre sums at at's polar cosines
+    (`_legendre_table(grid, at)`), then every step-th azimuth.
+    """
+    at = grid if at is None else at
     if grid.spec.n == 2:
-        return np.fft.irfft(coef[..., 0] + 1j * coef[..., 1], n=grid.n_ang_total, axis=0)
+        out = np.fft.irfft(coef[..., 0] + 1j * coef[..., 1], n=grid.n_ang_total, axis=0)
+        return out[::grid.n_ang_total // at.n_ang_total]
     L, k = grid.n_polar, coef.shape[1]
     G = coef.reshape(L, k, L, 2).transpose(2, 0, 1, 3).reshape(L, L, 2 * k)
-    rings = (_legendre_table(grid).transpose(0, 2, 1) @ G).view(complex)
-    return np.fft.irfft(rings.transpose(1, 0, 2), n=2 * L, axis=1).reshape(-1, k)
+    rings = (_legendre_table(grid, at).transpose(0, 2, 1) @ G).view(complex)
+    out = np.fft.irfft(rings.transpose(1, 0, 2), n=2 * L, axis=1)
+    return out[:, ::grid.n_azim // at.n_azim].reshape(-1, k)
 
 
 def _zonal_table(n, lmax, x):
@@ -143,15 +154,17 @@ def _kernel_degree(grid):
     return grid.n_ang_total // 2 if grid.spec.n == 2 else grid.n_polar - 1
 
 
-def _harmonic_apply(grid, values, K):
+def _harmonic_apply(grid, values, K, at=None):
     """Apply K[l], a matrix per angular harmonic degree l, to the harmonics of
-    `values` (n_ang_total, K.shape[2]); returns (n_ang_total, K.shape[1]).
+    `values` (n_ang_total, K.shape[2]); returns (n_ang_total, K.shape[1]), at
+    the directions of `at` if given (see `_synthesise`).
 
     The package's one angular operator, K acting on every order of a degree
-    at once.  The sampled forward passes `_forward_kernel`; `john` and `ac`
-    pass `_filter_kernel`, since -Delta R*g = R*(-g''); `hs` its annulus kernel.
+    at once.  The forward passes `_forward_kernel`, on the fine chart for an
+    evaluator; `john` and `ac` pass `_filter_kernel`, since
+    -Delta R*g = R*(-g''); `hs` its annulus kernel.
     """
-    return _synthesise(grid, K @ _analyse(grid, values))
+    return _synthesise(grid, K @ _analyse(grid, values), at)
 
 
 def _frames(theta):
@@ -189,24 +202,6 @@ def _slice_rule(n, e, count):
     return np.sqrt((x + 1.0) / 2.0), w * 2.0 ** (-(e + 0.5)) * math.pi
 
 
-def _ball_rule(n, e):
-    """Nodes Y (count, n-1) in the unit (n-1)-ball and weights W for the weight
-    (1 - |y|^2)^(e - 1/2): the slice rule at n = 2, and at n = 3 its radii
-    crossed with an even azimuth count, whose trapezoid rule kills every odd
-    power of s exactly, which is what keeps low-degree polynomials exact.  The
-    azimuthal direction converges much faster than the radial one for smooth
-    integrands, so 2K/3 azimuths for K radii suffice.
-    """
-    K = SLICE_NODES[n]
-    s, w = _slice_rule(n, e, K)
-    if n == 2:
-        return s[:, None], w
-    kchi = max(2 * ((K + 2) // 3), 16)
-    chi = 2.0 * np.pi * np.arange(kchi) / kchi
-    Y = s[:, None, None] * np.stack([np.cos(chi), np.sin(chi)], axis=-1)
-    return Y.reshape(-1, 2), np.repeat(w / kchi, kchi)
-
-
 def _meets_support(ev, theta, t):
     """Mask (m, t.size) of the slices (theta_i, t_j) on which the evaluator ev,
     or the one it wraps (`__wrapped__`), may be nonzero: all of them unless it
@@ -226,55 +221,9 @@ def _meets_support(ev, theta, t):
     return top > cos_w
 
 
-def _slice_quadrature(f, theta, t):
-    """Smooth part of V_+ f at the directions theta (m, n) and offsets t,
-    shape (m, t.size), from f's evaluator.
-
-    The chord (n = 2) or disk (n = 3) of the unit ball in the plane
-    x' . theta = t has the points t theta + sqrt(1 - t^2) Y E(theta), with
-    the rows of E(theta) spanning theta^perp.  There the lifted function's
-    boundary factor is (1 - t^2)^(e - 1/2) (1 - |Y|^2)^(e - 1/2): the second
-    is the weight of `_ball_rule`, the powers of 1 - t^2 are the stored
-    boundary exponent e + (n-1)/2.  Only the slices that meet the evaluator's
-    support (`_meets_support`) are evaluated, the others stay 0: one flat loop
-    over them, one evaluator call per chunk of slices of at most
-    `_QUADRATURE_POINTS` points (for the rules of `_ball_rule`), so the
-    evaluator's temporaries stay small.  The weighted node sums are numpy's
-    pairwise row sums, which do not depend on the chunking (a BLAS gemv over
-    10-row chunks rounded about 20x worse on a sign-changing basis function).
-    """
-    n = f.spec.n
-    Y, W = _ball_rule(n, f.boundary_exponent)
-    if n == 2:
-        E = np.stack([-theta[:, 1], theta[:, 0]], axis=-1)[:, None, :]
-    else:
-        E = np.stack(_frames(theta), axis=1)
-    scale = np.sqrt(1.0 - t * t)
-    rows, cols = np.nonzero(_meets_support(f.evaluator, theta, t))
-    step = _QUADRATURE_POINTS // Y.shape[0]
-    buf = np.empty((min(step, rows.size), Y.shape[0], n))
-    out = np.zeros((theta.shape[0], t.size))
-    for lo in range(0, rows.size, step):
-        i, j = rows[lo:lo + step], cols[lo:lo + step]
-        pts = buf[:i.size]
-        # the slices come direction by direction: Y E(theta) once per run of
-        # one direction (a batched product per slice costs more than the
-        # evaluator of a constant at n = 2), scaled by each sqrt(1 - t^2)
-        a = 0
-        for b in np.append(np.flatnonzero(i[1:] != i[:-1]) + 1, i.size):
-            np.multiply(Y @ E[i[a]], scale[j[a:b], None, None], out=pts[a:b])
-            a = b
-        # one component at a time: bitwise the broadcast add, and faster
-        shift = t[j, None] * theta[i]
-        for k in range(n):
-            pts[..., k] += shift[:, k, None]
-        out[i, j] = (np.asarray(f.evaluator(pts), dtype=float) * W).sum(axis=-1)
-    return out
-
-
 @lru_cache(maxsize=8)
 def _forward_kernel(grid, exponent):
-    """The radial kernel of the sampled forward, read-only: K[l, j, i] maps the
+    """The radial kernel of the forward, read-only: K[l, j, i] maps the
     samples at the radial nodes of a degree-l harmonic's profile, for smooth
     parts with boundary exponent `exponent`, to its slice integral at t_j.
 
@@ -285,11 +234,11 @@ def _forward_kernel(grid, exponent):
     t / rho_q off the direction, so by Funk-Hecke degree l picks up
     P_l(t / rho_q) (the signed chord nodes cancel the sine part at n = 2).
     For band-limited samples the grid resolves the integrand is a polynomial
-    in s^2 of degree below n_radial, so `_slice_rule` with at least n_radial
-    nodes is exact for them on any grid.
+    in s^2 of degree below n_radial, so `_slice_rule` with n_radial nodes is
+    exact for them on any grid.
     """
     n = grid.spec.n
-    s, w = _slice_rule(n, exponent, max(SLICE_NODES[n], grid.spec.n_radial))
+    s, w = _slice_rule(n, exponent, grid.spec.n_radial)
     lmax = _kernel_degree(grid)
     odd = np.arange(lmax + 1) % 2 == 1
     t = grid.t[:, None]
@@ -305,16 +254,41 @@ def _forward_kernel(grid, exponent):
     return _read_only(K)
 
 
+def _fine_grid(grid):
+    """The grid an evaluator is sampled on for grid's forward: at least
+    `FINE_CHART` angles and radii, and grid's own counts where they are
+    larger, the angles a multiple of grid's so that grid's azimuths are every
+    step-th fine one (`_synthesise` with `at`).  Same t nodes."""
+    spec = grid.spec
+    angles, radii = FINE_CHART[spec.n]
+    step = -(-angles // spec.n_angular)
+    return make_grid(GridSpec(spec.n, step * spec.n_angular, max(radii, spec.n_radial), spec.n_t))
+
+
+def _sample(ev, grid):
+    """The evaluator ev at grid's ball chart nodes, (n_ang_total, n_radial),
+    one call per chunk of directions of at most `_EVALUATOR_POINTS` points;
+    the points are `grid.ball_points`, bitwise, which are never all formed."""
+    out = np.empty((grid.n_ang_total, grid.spec.n_radial))
+    step = max(1, _EVALUATOR_POINTS // grid.spec.n_radial)
+    for lo in range(0, grid.n_ang_total, step):
+        out[lo:lo + step] = ev(grid.ang[lo:lo + step, None, :] * grid.r[None, :, None])
+    return out
+
+
 def vslice_forward(f):
     """Half slice transform of an even sphere function, sampled on the grid.
 
-    Computes F(theta_i, t_j) = sqrt(1 - t_j^2) * Radon(lift f)(theta_i, t_j).
-    With an evaluator, the slice quadrature of `_slice_quadrature` runs over
-    one direction per antipodal pair, and the partner gets the profile
-    reversed in t: f is even, so F(-theta, -t) = F(theta, t) exactly.
-    Sampled functions go through `_harmonic_apply` with `_forward_kernel`,
-    exact for band-limited samples the grid resolves.  The stored boundary
-    exponent rises by (n-1)/2, which is exact.
+    Computes F(theta_i, t_j) = sqrt(1 - t_j^2) * Radon(lift f)(theta_i, t_j)
+    with `_harmonic_apply` and `_forward_kernel`, exact for band-limited
+    samples the grid resolves.  Sampled functions take it on
+    their own samples.  A function with an evaluator takes it on the
+    evaluator's samples at the nodes of the finer `_fine_grid`, synthesised
+    at the grid's directions.  Of those, one direction per antipodal pair is
+    kept, its slices that miss the evaluator's support (`_meets_support`) set
+    to +0.0, and the partner gets the profile reversed in t: f is even, so
+    F(-theta, -t) = F(theta, t) exactly.  The stored boundary exponent rises
+    by (n-1)/2, which is exact.
     """
     if not isinstance(f, SphereFunction):
         raise TypeError("vslice_forward expects a SphereFunction")
@@ -323,21 +297,24 @@ def vslice_forward(f):
     if f.evaluator is None:
         out = _harmonic_apply(grid, f.smooth, _forward_kernel(grid, e))
     else:
+        fine = _fine_grid(grid)
+        full = _harmonic_apply(fine, _sample(f.evaluator, fine), _forward_kernel(fine, e), grid)
         sel = np.arange(grid.n_ang_total) < grid.antipodal_index
-        half = _slice_quadrature(f, grid.ang[sel], grid.t)
+        half = np.where(_meets_support(f.evaluator, grid.ang[sel], grid.t), full[sel], 0.0)
         out = np.empty((grid.n_ang_total, grid.spec.n_t))
         out[sel] = half
         out[grid.antipodal_index[sel]] = half[:, ::-1]
     return SliceData(grid, out, e + 0.5 * (f.spec.n - 1))
 
 
-def _unit_direction(theta, n):
-    """theta scaled to unit length; it must be a finite, nonzero n-vector."""
+def _unit_directions(theta, n):
+    """theta (..., n) scaled to unit length; every row must be a finite,
+    nonzero n-vector."""
     theta = np.asarray(theta, dtype=float)
-    if theta.shape != (n,):
+    if theta.ndim == 0 or theta.shape[-1] != n:
         raise ValueError("theta must have %d components" % n)
-    norm = np.linalg.norm(theta)
-    if not 0.0 < norm < math.inf:
+    norm = np.linalg.norm(theta, axis=-1, keepdims=True)
+    if not np.all((0.0 < norm) & (norm < math.inf)):
         raise ValueError("theta must be finite and nonzero")
     return theta / norm
 
@@ -347,42 +324,56 @@ def vslice_direct(f, theta, t, chord_nodes=None):
 
     Parametrizes the slice {x . theta = t} itself and integrates the full
     function values r * int f(t theta + y, sqrt(r^2 - |y|^2)) / sqrt(r^2-|y|^2) dy
-    without the lift/Radon factorization or the analytic boundary split the
-    production path uses.  Requires a phantom with an evaluator.
+    without the lift/Radon factorization, the analytic boundary split or the
+    harmonic layer the production path uses: Gauss-Chebyshev chord nodes at
+    n = 2, Gauss-Legendre heights crossed with azimuths at n = 3.  Requires a
+    phantom with an evaluator.
+
+    theta is one direction (n,) or an array of them (..., n), and t broadcasts
+    against theta.shape[:-1]; one slice gives a float, otherwise an array of
+    the broadcast shape.  Slices go to the evaluator in chunks of at most
+    `_EVALUATOR_POINTS` points (one slice if it has more).
     """
     if not isinstance(f, SphereFunction):
         raise TypeError("vslice_direct expects a SphereFunction")
     if f.evaluator is None:
         raise ValueError("vslice_direct needs a phantom with an evaluator")
-    t = float(t)
-    if abs(t) >= 1.0:
+    t = np.asarray(t, dtype=float)
+    if not np.all(np.abs(t) < 1.0):
         raise ValueError("need |t| < 1")
     n = f.spec.n
-    theta = _unit_direction(theta, n)
+    theta = _unit_directions(theta, n)
     if chord_nodes is not None and not (_is_integer(chord_nodes) and chord_nodes >= 1):
         raise ValueError("chord_nodes must be an integer >= 1")
+    shape = np.broadcast_shapes(theta.shape[:-1], t.shape)
+    theta = np.broadcast_to(theta, shape + (n,)).reshape(-1, n)
+    t = np.broadcast_to(t, shape).ravel()
+    # slice i has the points t_i theta_i + r_i Y E_i, E_i spanning theta_i^perp,
+    # and the integral r_i^(n-1+2e) sum_q W_q f(...), W_q carrying the node's
+    # squared last coordinate over r_i^2 to the power e
     e = f.boundary_exponent
-    r = math.sqrt(1.0 - t * t)
     if n == 2:
         Q = chord_nodes or 256
-        tau = np.cos((2.0 * np.arange(Q) + 1.0) * np.pi / (2.0 * Q))
-        perp = np.array([-theta[1], theta[0]])
-        pts = t * theta[None, :] + (r * tau)[:, None] * perp[None, :]
-        x3sq = r * r * (1.0 - tau * tau)
-        full = np.asarray(f.evaluator(pts), dtype=float) * x3sq**e
-        return r * math.pi / Q * float(full.sum())
-    K = chord_nodes or 96
-    xg, wg = _jacobi_rule(K, 0.0, 0.0)
-    v = (xg + 1.0) / 2.0
-    wv = wg / 2.0
-    kchi = 2 * K
-    chi = 2.0 * np.pi * np.arange(kchi) / kchi
-    e1, e2 = _frames(theta)
-    omega = np.cos(chi)[:, None] * e1 + np.sin(chi)[:, None] * e2
-    s = np.sqrt(1.0 - v * v)
-    pts = t * theta[None, None, :] + (r * s)[:, None, None] * omega[None, :, :]
-    full = np.asarray(f.evaluator(pts), dtype=float) * ((r * v) ** 2)[:, None] ** e
-    return r * r * (2.0 * np.pi / kchi) * float(wv @ full.sum(axis=1))
+        Y = np.cos((2.0 * np.arange(Q) + 1.0) * np.pi / (2.0 * Q))[:, None]
+        W = np.pi / Q * (1.0 - Y[:, 0] ** 2) ** e
+        E = np.stack([-theta[:, 1], theta[:, 0]], axis=-1)[:, None, :]
+    else:
+        K = chord_nodes or 96
+        xg, wg = _jacobi_rule(K, 0.0, 0.0)
+        v = (xg + 1.0) / 2.0
+        chi = np.pi * np.arange(2 * K) / K
+        Y = (np.sqrt(1.0 - v * v)[:, None, None]
+             * np.stack([np.cos(chi), np.sin(chi)], axis=-1)).reshape(-1, 2)
+        W = np.repeat(wg * np.pi / (2 * K) * v ** (2.0 * e), 2 * K)
+        E = np.stack(_frames(theta), axis=1)
+    r = np.sqrt(1.0 - t * t)
+    out = np.empty(t.size)
+    step = max(1, _EVALUATOR_POINTS // Y.shape[0])
+    for lo in range(0, t.size, step):
+        i = slice(lo, lo + step)
+        pts = t[i, None, None] * theta[i, None, :] + r[i, None, None] * (Y @ E[i])
+        out[i] = r[i] ** (n - 1 + 2.0 * e) * (np.asarray(f.evaluator(pts), dtype=float) * W).sum(-1)
+    return float(out[0]) if shape == () else out.reshape(shape)
 
 
 # -- dual transform ------------------------------------------------------------
@@ -614,20 +605,17 @@ def _filter_kernel(grid, exponent):
 def spherical_mean(f, theta, t):
     """Mean of f over the full vertical slice at (theta, t).
 
-    Equals (Vf)(theta, t) (1-t^2)^((1-n)/2) / sigma_{n-1} with V = 2 V_+,
-    from the slice quadrature of the forward map at this one (theta, t).
+    Equals (Vf)(theta, t) (1-t^2)^((1-n)/2) / sigma_{n-1} with V = 2 V_+, from
+    the direct quadrature `vslice_direct`, whose shapes and checks it shares.
     Requires a phantom with an evaluator.
     """
     if not isinstance(f, SphereFunction):
         raise TypeError("spherical_mean expects a SphereFunction")
     if f.evaluator is None:
         raise ValueError("spherical_mean needs a phantom with an evaluator")
-    t = float(t)
-    if abs(t) >= 1.0:
-        raise ValueError("need |t| < 1")
-    theta = _unit_direction(theta, f.spec.n)
-    smooth = _slice_quadrature(f, theta[None, :], np.array([t]))[0, 0]
-    return 2.0 * smooth * (1.0 - t * t) ** f.boundary_exponent / sphere_area(f.spec.n)
+    n = f.spec.n
+    V = 2.0 * vslice_direct(f, theta, t)
+    return V / (sphere_area(n) * (1.0 - np.square(t)) ** ((n - 1) / 2))
 
 
 def log_kernel_identity(num_nodes=1 << 20):
