@@ -15,7 +15,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .specfun import jacobi_poly, log_gamma
+from .specfun import _jacobi_table, log_gamma
 
 
 def _is_integer(v):
@@ -145,17 +145,11 @@ def _exact_weights(nodes, a, b, total):
     the Vandermonde system well conditioned: every row j >= 1 integrates to
     zero by orthogonality, so the right-hand side is total * e_0.
     """
-    nodes = np.asarray(nodes, dtype=float)
-    npts = len(nodes)
-    mat = np.empty((npts, npts))
-    rhs = np.zeros(npts)
-    rhs[0] = total
-    for j in range(npts):
-        row = jacobi_poly(j, a, b, nodes)
-        scale = np.max(np.abs(row))
-        mat[j] = row / scale
-        rhs[j] /= scale
-    return np.linalg.solve(mat, rhs)
+    mat = _jacobi_table(len(nodes) - 1, a, b, nodes)
+    scale = np.max(np.abs(mat), axis=1)
+    rhs = np.zeros(len(nodes))
+    rhs[0] = total / scale[0]
+    return np.linalg.solve(mat / scale[:, None], rhs)
 
 
 def _legendre_weights(nodes):
@@ -165,7 +159,8 @@ def _legendre_weights(nodes):
     is positive, so unlike the Vandermonde solve nothing cancels.  Averaging
     with the reversal makes the weights exactly symmetric, like the nodes.
     """
-    w = 1.0 / sum((k + 0.5) * jacobi_poly(k, 0.0, 0.0, nodes) ** 2 for k in range(len(nodes)))
+    P = _jacobi_table(len(nodes) - 1, 0.0, 0.0, nodes)
+    w = 1.0 / sum((k + 0.5) * P[k] ** 2 for k in range(len(nodes)))
     return 0.5 * (w + w[::-1])
 
 

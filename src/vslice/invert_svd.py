@@ -9,19 +9,22 @@ slice data in the cylinder family and dividing by s_nu therefore inverts the
 transform on any fixed band of indices.  On a grid, every member is a real
 spherical harmonic, one scaled entry of the coefficients of `xform._analyse`,
 times a radial or t profile, so each expansion is one harmonic analysis of
-the whole array and each sum one synthesis.
+the whole array and each sum one synthesis.  The constants and profiles
+depend on (m, k) alone, so they are tabulated once per (m, k), with mu only a
+harmonic column, and memoized read-only per grid, lam and index set.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from .grid import SliceData, SphereFunction
+from .grid import SliceData, SphereFunction, _read_only
 from .specfun import (
     SvdIndex,
-    gegenbauer_poly,
+    _gegenbauer_table,
+    _jacobi_table,
     harmonic_dim,
-    jacobi_poly,
     sph_harm,
     svd_constants,
 )
@@ -29,31 +32,40 @@ from .xform import _analyse, _kernel_degree, _synthesise
 
 
 def svd_index_set(n, band):
-    """All indices nu = (m, mu, k) with m + 2k <= band, in a fixed order."""
+    """All indices nu = (m, mu, k) with m + 2k <= band, in a fixed order: a new
+    list on every call."""
+    return list(_index_set(n, band))
+
+
+@lru_cache(maxsize=32)
+def _index_set(n, band):
     if band < 0:
         raise ValueError("band must be >= 0")
-    out = []
-    for m in range(band + 1):
-        for k in range((band - m) // 2 + 1):
-            for mu in range(1, harmonic_dim(n, m) + 1):
-                out.append(SvdIndex(m, mu, k))
-    return out
+    return tuple(
+        SvdIndex(m, mu, k)
+        for m in range(band + 1)
+        for k in range((band - m) // 2 + 1)
+        for mu in range(1, harmonic_dim(n, m) + 1)
+    )
 
 
-def _sphere_profile(nu, lam, n, u):
-    """c_nu r^m P_k(2u - 1) at u = r^2, the radial factor of the sphere-side
-    member nu's smooth part (the other factor is Y_{m,mu})."""
-    m, _, k = nu
-    c = svd_constants(n, lam, nu).c_nu
-    p = jacobi_poly(k, lam - n / 2.0, m + n / 2.0 - 1.0, 2.0 * u - 1.0)
-    return c * np.sqrt(u) ** m * p
-
-
-def _slice_profile(nu, lam, n, t):
-    """d_nu C_{m+2k}(t), the t factor of the cylinder-side member nu's smooth
-    part (the other factor is Y_{m,mu})."""
-    m, _, k = nu
-    return svd_constants(n, lam, nu).d_nu * gegenbauer_poly(m + 2 * k, lam, t)
+def _profiles(indices, lam, n, x, sphere):
+    """Per index, on a new first axis, the factor beside Y_{m,mu} in the smooth
+    part of member nu at the nodes x: c_nu r^m P_k(2u - 1) at u = r^2 on the
+    sphere side, d_nu C_{m+2k}(t) on the slice side.  Each distinct (m, k) is
+    computed once, from one Jacobi table per m or one Gegenbauer table."""
+    pairs = {}
+    where = [pairs.setdefault((m, k), len(pairs)) for m, _, k in indices]
+    consts = [svd_constants(n, lam, (m, 0, k)) for m, k in pairs]
+    if sphere:
+        kmax = {m: max(j for i, j in pairs if i == m) for m, _ in pairs}
+        P = {m: _jacobi_table(top, lam - n / 2.0, m + n / 2.0 - 1.0, 2.0 * x - 1.0)
+             for m, top in kmax.items()}
+        rows = [c.c_nu * np.sqrt(x) ** m * P[m][k] for c, (m, k) in zip(consts, pairs)]
+    else:
+        C = _gegenbauer_table(max((m + 2 * k for m, k in pairs), default=0), lam, x)
+        rows = [c.d_nu * C[m + 2 * k] for c, (m, k) in zip(consts, pairs)]
+    return np.reshape(rows, (len(pairs),) + np.shape(x))[where]
 
 
 def _split_point(x):
@@ -83,7 +95,7 @@ def _eta_smooth_at(nu, lam, n, xp, u):
     """Smooth factor c r^m P_k(2u-1) Y at chart points xp with u = |xp|^2."""
     r = np.sqrt(u)
     safe = np.where(r > 0, r, 1.0)
-    return _sphere_profile(nu, lam, n, u) * sph_harm(n, nu[0], nu[1], xp / safe[..., None])
+    return _profiles([nu], lam, n, u, True)[0] * sph_harm(n, nu[0], nu[1], xp / safe[..., None])
 
 
 def slice_singular_function(nu, lam, theta, t):
@@ -93,46 +105,59 @@ def slice_singular_function(nu, lam, theta, t):
     if n not in (2, 3):
         raise ValueError("theta must have 2 or 3 components")
     t = np.asarray(t, dtype=float)
-    out = (1.0 - t * t) ** lam * _slice_profile(nu, lam, n, t) * sph_harm(n, nu[0], nu[1], th)
+    zeta = _profiles([nu], lam, n, t, False)[0]
+    out = (1.0 - t * t) ** lam * zeta * sph_harm(n, nu[0], nu[1], th)
     return out if np.ndim(out) else float(out)
 
 
+@lru_cache(maxsize=32)
 def _columns(grid, indices):
-    """Arrays (degree, column, scale) placing each index's Y_{m,mu} at scale *
-    coef[m, :, column] in `_analyse`'s coefficients: column mu - 1 at n = 2 and
-    mu - [mu = 1] at n = 3; scale step/sqrt(pi) for the azimuthal step, negated
-    on sines, or step/sqrt(2 pi) at order 0.  Degrees past `_kernel_degree`,
-    less the n = 2 mode A/2 (it has no sine), alias and are rejected."""
+    """Read-only arrays (degree, column, scale) placing each index's Y_{m,mu} at
+    scale * coef[m, :, column] in `_analyse`'s coefficients: column mu - 1 at
+    n = 2 and mu - [mu = 1] at n = 3; scale step/sqrt(pi) for the azimuthal
+    step, negated on sines, or step/sqrt(2 pi) at order 0.  Degrees past
+    `_kernel_degree`, less the n = 2 mode A/2 (it has no sine), alias and are
+    rejected.  `indices` is a tuple."""
     n = grid.spec.n
     top = _kernel_degree(grid) - (n == 2)
     step = 2.0 * np.pi / (grid.n_ang_total if n == 2 else grid.n_azim)
-    rows = []
-    for m, mu, _ in indices:
-        if m > top:
-            raise ValueError(f"degree m = {m} exceeds {top}, the most the angular grid resolves")
-        if not 1 <= mu <= harmonic_dim(n, m):
-            raise ValueError(f"harmonic index mu = {mu} out of range for degree m = {m}")
-        col, order = (mu - 1, m) if n == 2 else (mu - (mu == 1), mu // 2)
-        rows.append((m, col, (-1) ** col * step / np.sqrt(np.pi if order else 2.0 * np.pi)))
-    degs, cols, scales = np.reshape(rows, (-1, 3)).T
-    return degs.astype(int), cols.astype(int), scales
+    m, mu, _ = np.reshape(np.array(indices, dtype=int), (-1, 3)).T
+    dim = np.where(m == 0, 1, 2 if n == 2 else 2 * m + 1)
+    bad = np.flatnonzero((m > top) | (mu < 1) | (mu > dim))
+    if bad.size and m[bad[0]] > top:
+        raise ValueError(f"degree m = {m[bad[0]]} exceeds {top}, the most the angular grid resolves")
+    if bad.size:
+        raise ValueError(f"harmonic index mu = {mu[bad[0]]} out of range for degree m = {m[bad[0]]}")
+    cols, order = (mu - 1, m) if n == 2 else (mu - (mu == 1), mu // 2)
+    scales = np.where(cols % 2, -step, step) / np.sqrt(np.where(order, np.pi, 2.0 * np.pi))
+    return _read_only((m, cols, scales))
 
 
-def _profiles(profile, indices, lam, n, x):
-    """`profile` of each index at the nodes x, shape (len(indices), x.size)."""
-    return np.reshape([profile(nu, lam, n, x) for nu in indices], (len(indices), x.size))
+@lru_cache(maxsize=32)
+def _grid_profiles(grid, lam, indices, sphere):
+    """Read-only `_profiles` of the indices (a tuple) at the grid's radial
+    nodes (sphere side) or t nodes (slice side)."""
+    return _read_only(_profiles(indices, lam, grid.spec.n, grid.u if sphere else grid.t, sphere))
+
+
+@lru_cache(maxsize=32)
+def _singular_values(n, lam, indices):
+    """Read-only s_nu of the indices (a tuple), once per distinct (m, k)."""
+    pairs = {(m, k) for m, _, k in indices}
+    s = {(m, k): svd_constants(n, lam, (m, 0, k)).s_nu for m, k in pairs}
+    return _read_only(np.array([s[m, k] for m, _, k in indices]))
 
 
 def _analysis(grid, smooth, indices, profiles, w):
     """Per index, sum_{a,i} ang_weight_a Y_nu(theta_a) smooth[a, i] profile_nu[i] w_i:
     one harmonic analysis of the samples, then each member's profile."""
-    degs, cols, scales = _columns(grid, indices)
+    degs, cols, scales = _columns(grid, tuple(indices))
     return scales * np.einsum("ni,ni,i->n", _analyse(grid, smooth)[degs, :, cols], profiles, w)
 
 
 def _synthesis(grid, indices, amplitudes, profiles):
     """Samples of sum_nu amplitude_nu Y_nu profile_nu: one harmonic synthesis."""
-    degs, cols, scales = _columns(grid, indices)
+    degs, cols, scales = _columns(grid, tuple(indices))
     L = _kernel_degree(grid) + 1
     coef = np.zeros((L, profiles.shape[1], 2 if grid.spec.n == 2 else 2 * L))
     np.add.at(coef, (degs, slice(None), cols), (amplitudes / scales)[:, None] * profiles)
@@ -154,7 +179,7 @@ def sphere_basis_grid(nu, lam, grid):
 def slice_basis_grid(nu, lam, grid):
     """Cylinder singular function sampled on a grid, exact boundary exponent."""
     nu = SvdIndex(*nu)
-    profiles = _profiles(_slice_profile, [nu], lam, grid.spec.n, grid.t)
+    profiles = _grid_profiles(grid, lam, (nu,), False)
     return SliceData(grid, _synthesis(grid, [nu], [1.0], profiles), lam)
 
 
@@ -203,12 +228,12 @@ def analyze(F, lam=None, band=8):
     if lam is None:
         lam = n / 2.0
     _check_band(grid, band)
-    indices = svd_index_set(n, band)
+    indices = _index_set(n, band)
     # against the weight (1-t^2)^(-1/2-lam) and the members' (1-t^2)^lam
     w = grid.t_weights(F.boundary_exponent - 0.5)
-    profiles = _profiles(_slice_profile, indices, lam, n, grid.t)
+    profiles = _grid_profiles(grid, lam, indices, False)
     coeffs = _analysis(grid, F.smooth, indices, profiles, w)
-    return SpectralCoeffs(lam, indices, coeffs, band)
+    return SpectralCoeffs(lam, list(indices), coeffs, band)
 
 
 def sphere_coefficients(f, lam=None, band=8):
@@ -226,27 +251,27 @@ def sphere_coefficients(f, lam=None, band=8):
         raise ValueError(
             f"band {band} too high for {grid.spec.n_radial} radial nodes (max {limit})"
         )
-    indices = svd_index_set(n, band)
+    indices = _index_set(n, band)
     # the lifts against (1-|x'|^2)^(n/2-lam): the members carry (1-|x'|^2)^(lam-n/2)
     w = grid.radial_weights(f.boundary_exponent - 0.5)
-    profiles = _profiles(_sphere_profile, indices, lam, n, grid.u)
+    profiles = _grid_profiles(grid, lam, indices, True)
     coeffs = _analysis(grid, f.smooth, indices, profiles, w)
-    return SpectralCoeffs(lam, indices, coeffs, band)
+    return SpectralCoeffs(lam, list(indices), coeffs, band)
 
 
 def synthesize_forward(coeffs, grid):
     """Slice data of the function with the given coefficients: sum of
     s_nu * f_nu * (cylinder singular function)."""
-    n, lam, indices = grid.spec.n, coeffs.lam, coeffs.indices
-    s = np.array([svd_constants(n, lam, nu).s_nu for nu in indices])
-    profiles = _profiles(_slice_profile, indices, lam, n, grid.t)
+    n, lam, indices = grid.spec.n, coeffs.lam, tuple(coeffs.indices)
+    s = _singular_values(n, lam, indices)
+    profiles = _grid_profiles(grid, lam, indices, False)
     return SliceData(grid, _synthesis(grid, indices, s * coeffs.coeffs, profiles), lam)
 
 
 def synthesize_sphere(coeffs, grid):
     """Hemisphere function with the given coefficients in the sphere family."""
-    n, lam, indices = grid.spec.n, coeffs.lam, coeffs.indices
-    profiles = _profiles(_sphere_profile, indices, lam, n, grid.u)
+    n, lam, indices = grid.spec.n, coeffs.lam, tuple(coeffs.indices)
+    profiles = _grid_profiles(grid, lam, indices, True)
     smooth = _synthesis(grid, indices, coeffs.coeffs, profiles)
     return SphereFunction(grid, smooth, lam - n / 2.0 + 0.5)
 
@@ -260,7 +285,7 @@ def reconstruct(F, lam=None, band=8, force=False, s_floor_ratio=1e-6):
     force=True.
     """
     spec = analyze(F, lam, band)
-    svals = np.array([svd_constants(F.grid.spec.n, spec.lam, nu).s_nu for nu in spec.indices])
+    svals = _singular_values(F.grid.spec.n, spec.lam, tuple(spec.indices))
     if not force and svals.min() < s_floor_ratio * svals.max():
         raise ValueError(
             "smallest singular value on the band is below the stability floor; "

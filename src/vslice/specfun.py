@@ -7,6 +7,7 @@ formulas.  No grids, no quadrature.
 """
 
 import math
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -34,6 +35,19 @@ def log_gamma(x):
     return float(out) if out.ndim == 0 else out
 
 
+def _jacobi_table(kmax, a, b, t):
+    """P_0^(a,b)(t), ..., P_kmax^(a,b)(t) stacked, by the three-term recurrence."""
+    t = np.asarray(t, dtype=float)
+    rows = [np.ones_like(t), 0.5 * (a - b) + 0.5 * (a + b + 2.0) * t][: kmax + 1]
+    for j in range(2, kmax + 1):
+        c1 = 2.0 * j * (j + a + b) * (2.0 * j + a + b - 2.0)
+        c2 = (2.0 * j + a + b - 1.0) * (a * a - b * b)
+        c3 = (2.0 * j + a + b - 1.0) * (2.0 * j + a + b) * (2.0 * j + a + b - 2.0)
+        c4 = 2.0 * (j + a - 1.0) * (j + b - 1.0) * (2.0 * j + a + b)
+        rows.append(((c2 + c3 * t) * rows[-1] - c4 * rows[-2]) / c1)
+    return np.stack(rows)
+
+
 def jacobi_poly(k, a, b, t):
     """Jacobi polynomial P_k^(a,b)(t) by the three-term recurrence.
 
@@ -50,18 +64,18 @@ def jacobi_poly(k, a, b, t):
         raise ValueError("degree must be >= 0")
     if a <= -1 or b <= -1:
         raise ValueError("Jacobi parameters must exceed -1")
-    t = np.asarray(t, dtype=float)
-    p_prev = np.ones_like(t)
-    if k == 0:
-        return p_prev if p_prev.ndim else float(p_prev)
-    p = 0.5 * (a - b) + 0.5 * (a + b + 2.0) * t
-    for j in range(2, k + 1):
-        c1 = 2.0 * j * (j + a + b) * (2.0 * j + a + b - 2.0)
-        c2 = (2.0 * j + a + b - 1.0) * (a * a - b * b)
-        c3 = (2.0 * j + a + b - 1.0) * (2.0 * j + a + b) * (2.0 * j + a + b - 2.0)
-        c4 = 2.0 * (j + a - 1.0) * (j + b - 1.0) * (2.0 * j + a + b)
-        p, p_prev = ((c2 + c3 * t) * p - c4 * p_prev) / c1, p
+    p = _jacobi_table(k, a, b, t)[-1]
     return p if p.ndim else float(p)
+
+
+def _gegenbauer_table(kmax, lam, t):
+    """C_0^lam(t), ..., C_kmax^lam(t) stacked, by the three-term recurrence."""
+    t = np.asarray(t, dtype=float)
+    rows = [np.ones_like(t), 2.0 * lam * t][: kmax + 1]
+    for j in range(2, kmax + 1):
+        c, c_prev = rows[-1], rows[-2]
+        rows.append((2.0 * (j + lam - 1.0) * t * c - (j + 2.0 * lam - 2.0) * c_prev) / j)
+    return np.stack(rows)
 
 
 def gegenbauer_poly(k, lam, t):
@@ -70,13 +84,7 @@ def gegenbauer_poly(k, lam, t):
         raise ValueError("degree must be >= 0")
     if lam <= 0:
         raise ValueError("Gegenbauer parameter must be > 0")
-    t = np.asarray(t, dtype=float)
-    c_prev = np.ones_like(t)
-    if k == 0:
-        return c_prev if c_prev.ndim else float(c_prev)
-    c = 2.0 * lam * t
-    for j in range(2, k + 1):
-        c, c_prev = (2.0 * (j + lam - 1.0) * t * c - (j + 2.0 * lam - 2.0) * c_prev) / j, c
+    c = _gegenbauer_table(k, lam, t)[-1]
     return c if c.ndim else float(c)
 
 
@@ -169,13 +177,20 @@ def svd_constants(n, lam, nu):
     """Normalization constants and singular value for index nu at weight lam.
 
     Requires a finite lam > n/2 - 1.  Computed through log-Gamma so large
-    m + 2k stays finite.  s_nu depends on (m, k) only; mu enters nowhere.
+    m + 2k stays finite.  s_nu depends on (m, k) only; mu enters nowhere, so
+    the values are memoized per (n, lam, m, k).
     """
     m, _, k = nu
     if not (math.isfinite(lam) and lam > n / 2 - 1):
         raise ValueError("need a finite lam > n/2 - 1")
     if m < 0 or k < 0:
         raise ValueError("need m, k >= 0")
+    return SvdConstants(*_svd_constants(n, lam, m, k), lam)
+
+
+@lru_cache(maxsize=4096)
+def _svd_constants(n, lam, m, k):
+    """(c_nu, d_nu, s_nu) of every index with degree m and radial order k."""
     lg = math.lgamma
     log_c2 = (
         math.log(2.0)
@@ -206,7 +221,7 @@ def svd_constants(n, lam, nu):
             - lg(k + m + n / 2.0)
         )
     )
-    return SvdConstants(math.exp(0.5 * log_c2), math.exp(0.5 * log_d2), math.exp(log_s), lam)
+    return math.exp(0.5 * log_c2), math.exp(0.5 * log_d2), math.exp(log_s)
 
 
 def radon_norm(n, lam):

@@ -592,11 +592,15 @@ def _filter_kernel(grid, exponent):
     """The radial kernel of john's t-filter for plane data with boundary
     exponent `exponent`: -d^2/ds^2 for n = 3, where the exponent enters, and
     -d^2/ds^2 of the log convolution for n = 2, where it does not (pass None,
-    so one kernel serves every exponent); sampled at every offset in one call."""
+    so one kernel serves every exponent).  The offsets are antisymmetric in q,
+    so the filter is sampled in one call at columns q <= Q - 1 - q only and
+    reflected, M[j, Q-1-q, k] = M[j, q, n_t-1-k], onto the other half."""
     s = _kernel_offsets(grid)
-    M = (_log_filter_matrix(grid.t, s.ravel()) if grid.spec.n == 2
-         else _plane_filter_matrix(grid.t, s.ravel(), exponent))
-    return _read_only(_radial_kernel(grid, M.reshape(s.shape + (-1,))))
+    half = s[:, : (s.shape[1] + 1) // 2]
+    M = (_log_filter_matrix(grid.t, half.ravel()) if grid.spec.n == 2
+         else _plane_filter_matrix(grid.t, half.ravel(), exponent)).reshape(half.shape + (-1,))
+    M = np.concatenate([M, M[:, : s.shape[1] // 2][:, ::-1, ::-1]], axis=1)
+    return _read_only(_radial_kernel(grid, M))
 
 
 # -- spherical means -----------------------------------------------------------

@@ -15,7 +15,11 @@ from vslice.grid import (
 from vslice.invert_svd import (
     SpectralCoeffs,
     _analysis,
+    _columns,
     _eta_smooth_at,
+    _grid_profiles,
+    _index_set,
+    _singular_values,
     _synthesis,
     analyze,
     reconstruct,
@@ -29,7 +33,15 @@ from vslice.invert_svd import (
     synthesize_forward,
     synthesize_sphere,
 )
-from vslice.specfun import SvdIndex, harmonic_dim, sph_harm, svd_constants
+from vslice.specfun import (
+    SvdIndex,
+    _svd_constants,
+    gegenbauer_poly,
+    harmonic_dim,
+    jacobi_poly,
+    sph_harm,
+    svd_constants,
+)
 
 
 @pytest.fixture(scope="module")
@@ -384,6 +396,54 @@ def test_reconstruct_floor_guard(g2):
         reconstruct(F, 1.0, band=12, s_floor_ratio=0.3)
     rec = reconstruct(F, 1.0, band=12, s_floor_ratio=0.3, force=True)
     assert np.all(rec.values == 0.0)
+
+
+@pytest.mark.parametrize("n, lam, band", [(2, 1.0, 10), (3, 1.5, 8)])
+def test_profile_tables_match_per_index_formulas(g2, g3, n, lam, band):
+    # the per-(m, k) tables give every index the bits of its own formula
+    g = g2 if n == 2 else g3
+    idx = tuple(svd_index_set(n, band))
+    zetas = _grid_profiles(g, lam, idx, False)
+    etas = _grid_profiles(g, lam, idx, True)
+    assert zetas.shape == (len(idx), g.spec.n_t) and etas.shape == (len(idx), g.spec.n_radial)
+    for (m, mu, k), zeta, eta in zip(idx, zetas, etas):
+        c = svd_constants(n, lam, (m, mu, k))
+        assert np.array_equal(zeta, c.d_nu * gegenbauer_poly(m + 2 * k, lam, g.t))
+        p = jacobi_poly(k, lam - n / 2.0, m + n / 2.0 - 1.0, 2.0 * g.u - 1.0)
+        assert np.array_equal(eta, c.c_nu * np.sqrt(g.u) ** m * p)
+
+
+def test_reconstruct_works_per_degree_pair(g3):
+    # constants and profiles depend on (m, k) only: a cold band-8 reconstruct
+    # at n = 3 computes the constants of its 25 pairs, not of its 165 indices
+    F = vslice_forward(sphere_basis_grid(SvdIndex(2, 3, 1), 1.5, g3))
+    for memo in (_index_set, _columns, _grid_profiles, _singular_values, _svd_constants):
+        memo.cache_clear()
+    reconstruct(F, band=8)
+    idx = svd_index_set(3, 8)
+    assert len(idx) == 165 and len({(m, k) for m, _, k in idx}) == 25
+    info = _svd_constants.cache_info()
+    assert info.misses == 25
+    # the slice profiles, singular values and sphere profiles: 25 calls each
+    assert info.hits + info.misses == 3 * 25
+
+
+def test_index_lists_are_fresh(g3):
+    # the index lists handed out are the caller's: changing them must not
+    # reach the memoized index set behind them
+    F = vslice_forward(sphere_basis_grid(SvdIndex(2, 3, 1), 1.5, g3))
+    spec = analyze(F, band=6)
+    coeffs, rec = spec.coeffs.copy(), reconstruct(F, band=6).values
+    spec.indices.reverse()
+    spec.indices[0] = SvdIndex(9, 1, 9)
+    mine = svd_index_set(3, 6)
+    mine.pop()
+    mine.append(SvdIndex(9, 1, 9))
+    again = analyze(F, band=6)
+    assert again.indices == svd_index_set(3, 6) != mine
+    assert again.indices is not svd_index_set(3, 6)
+    assert np.array_equal(again.coeffs, coeffs)
+    assert np.array_equal(reconstruct(F, band=6).values, rec)
 
 
 def test_spectral_coeffs_validation():

@@ -7,6 +7,8 @@ from scipy.special import eval_gegenbauer, eval_jacobi
 from vslice.specfun import (
     SvdIndex,
     _binom_alt_sum_dalpha,
+    _gegenbauer_table,
+    _jacobi_table,
     binom_alt_sum,
     finite_difference_normalizer,
     gegenbauer_poly,
@@ -200,6 +202,31 @@ def test_svd_constants_domain():
         svd_constants(2, 0.0, (0, 1, 0))
     with pytest.raises(ValueError):
         svd_constants(3, 0.5, (0, 1, 0))
+
+
+def test_polynomials_are_table_rows():
+    # each recurrence exists once: a single polynomial is its table's last row
+    t = np.linspace(-1.0, 1.0, 41)
+    G = _gegenbauer_table(20, 1.5, t)
+    J = _jacobi_table(20, 0.5, 1.5, t)
+    assert G.shape == J.shape == (21, t.size)
+    for k in range(21):
+        assert np.array_equal(gegenbauer_poly(k, 1.5, t), G[k])
+        assert np.array_equal(jacobi_poly(k, 0.5, 1.5, t), J[k])
+        assert gegenbauer_poly(k, 1.5, t[7]) == G[k, 7]
+        assert jacobi_poly(k, 0.5, 1.5, t[7]) == J[k, 7]
+
+
+@pytest.mark.parametrize(
+    "n, lam, nu",
+    [(2, math.nan, (0, 1, 0)), (3, math.nan, (2, 1, 1)), (2, 0.0, (0, 1, 0)),
+     (3, 0.5, (1, 1, 0)), (2, 1.0, (-1, 1, 0)), (3, 1.5, (-2, 1, 1))],
+)
+def test_svd_constants_reject_on_every_call(n, lam, nu):
+    # the constants are memoized per (n, lam, m, k); a rejection is not
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            svd_constants(n, lam, nu)
 
 
 @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])

@@ -30,12 +30,13 @@ from vslice import (
     vslice_direct,
     vslice_forward,
 )
-from vslice import grid, invert_hs, xform
+from vslice import grid, invert_hs, invert_svd, specfun, xform
 from vslice.acceptance import BUMP_N2, BUMP_N3, HALF_N2, HALF_N3, MARGIN_N2, MARGIN_N3
 from vslice.grid import _jacobi_rule
 from vslice.harness import make_phantom
 from vslice.invert_hs import _annulus_kernel
-from vslice.specfun import sphere_area
+from vslice.invert_svd import _columns, _grid_profiles, _index_set, _singular_values
+from vslice.specfun import _svd_constants, sphere_area
 from vslice.xform import (
     _EVALUATOR_POINTS,
     FINE_CHART,
@@ -706,8 +707,18 @@ def test_cached_arrays_are_read_only():
             lambda g=g: g.antipodal_index,
         )
     ]
-    for get in grid_memos:
+    # the svd route's per-band memos, keyed on the grid, lam and index tuple
+    band3 = _index_set(3, 4)
+    svd_memos = [
+        lambda: _columns(small2, _index_set(2, 3)),
+        lambda: _columns(small3, band3),
+        lambda: _grid_profiles(small2, 1.0, _index_set(2, 3), False),
+        lambda: _grid_profiles(small3, 1.5, band3, True),
+        lambda: _singular_values(3, 1.5, band3),
+    ]
+    for get in grid_memos + svd_memos + [lambda: band3, lambda: _svd_constants(3, 1.5, 2, 1)]:
         assert get() is get()
+    assert _index_set(3, 4) is band3
     grid_arrays = [
         getattr(g, name)
         for g, names in (
@@ -719,6 +730,8 @@ def test_cached_arrays_are_read_only():
     cached = [
         *grid_arrays,
         *(get() for get in grid_memos),
+        *_columns(small2, _index_set(2, 3)),
+        *(get() for get in svd_memos[2:]),
         *_jacobi_rule(8, 0.5, 0.5),
         *_jacobi_rule(8, 0.0, 0.0),
         _legendre_table(small3, small3),
@@ -735,14 +748,16 @@ def test_cached_arrays_are_read_only():
         with pytest.raises(ValueError, match="read-only"):
             a[(0,) * a.ndim] = 1.0
     # a new cache in these modules or on Grid must join the lists above;
-    # make_grid's grids are covered by their arrays in grid_arrays
+    # make_grid's grids are covered by their arrays in grid_arrays, and the
+    # index tuples and constants hold no arrays
     covered = {
         make_grid, _jacobi_rule, _legendre_table, _funk_hecke_rule, _filter_kernel,
         _forward_kernel, _annulus_kernel, Grid.radial_weights, Grid.t_weights,
+        _columns, _grid_profiles, _singular_values, _index_set, _svd_constants,
     }
     caches = {
         f
-        for m in (grid, xform, invert_hs, Grid)
+        for m in (grid, xform, invert_hs, invert_svd, specfun, Grid)
         for f in vars(m).values()
         if hasattr(f, "cache_info")
     }
