@@ -16,7 +16,6 @@ import numpy as np
 
 from .grid import (
     GridSpec,
-    SliceData,
     default_spec,
     inner_product_ball,
     inner_product_slices,
@@ -28,14 +27,9 @@ from .harness import Phantom, compare, make_phantom
 from .invert_ac import _ac_constant, full_transform, invert_ac
 from .invert_hs import DEFAULT_EPS, invert_hypersingular
 from .invert_john import invert_john
-from .invert_svd import (
-    reconstruct,
-    slice_basis_grid,
-    sphere_basis_grid,
-    svd_index_set,
-)
+from .invert_svd import reconstruct, slice_basis_grid, sphere_basis_grid, svd_index_set
 from .specfun import harmonic_dim, method_constants, svd_constants
-from .xform import log_kernel_identity, vslice_direct, vslice_forward
+from .xform import _asymmetry, log_kernel_identity, vslice_direct, vslice_forward
 
 HALF_N2 = GridSpec(2, 128, 48, 64)
 HALF_N3 = GridSpec(3, 16, 24, 32)
@@ -45,12 +39,25 @@ BUMP_N3 = Phantom(kind="bump", center=(0.0, 0.0, 0.3, 0.95), width=0.7)
 MARGIN_N2 = Phantom(kind="bump", center=(0.3, -0.2, 0.93), width=0.7, equator_margin=0.25)
 MARGIN_N3 = Phantom(kind="bump", center=(0.0, 0.0, 0.3, 0.95), width=0.7, equator_margin=0.25)
 
+_ROUTES = {
+    "john": invert_john,
+    # the continuation formulas take the full (doubled) transform
+    "ac": lambda F: invert_ac(full_transform(F)),
+    "hs": invert_hypersingular,
+}
+
 
 class Workspace:
     """Lazy artifact store; remembers how long each build took.
 
+    The artifacts are the stages of one pipeline, phantom -> slices -> rec ->
+    report, each built by the recipe of that name and stored under the key
+    (stage, *arguments): `ws.slices(p, spec)` is ("slices", p, spec), and
+    `ws.rec(route, p, spec)` is ("rec", route, p, spec).  Phantom and GridSpec
+    are frozen, so equal descriptions share one artifact.
+
     Times are exclusive: a build that fetches another artifact for the first
-    time (john3 building slices3) is not charged for that nested build, so
+    time (a rec building its slices) is not charged for that nested build, so
     adding the times of several artifacts counts each piece of work once.
     """
 
@@ -78,57 +85,23 @@ class Workspace:
         """Exclusive wall time of the build of `key`."""
         return self._sec[key]
 
-    # shared artifacts ----------------------------------------------------
-    def phantom(self, name, p, spec):
-        return self.get(name, lambda: make_phantom(p, spec))
+    # pipeline stages -------------------------------------------------------
+    def phantom(self, p, spec):
+        return self.get(("phantom", p, spec), lambda: make_phantom(p, spec))
 
-    def bump2(self):
-        return self.phantom("bump2", BUMP_N2, default_spec(2))
+    def slices(self, p, spec):
+        return self.get(("slices", p, spec), lambda: vslice_forward(self.phantom(p, spec)))
 
-    def slices2(self):
-        return self.get("slices2", lambda: vslice_forward(self.bump2()))
+    def rec(self, route, p, spec):
+        """The `route` reconstruction (john, ac or hs, at its defaults) from
+        the slices of p."""
+        return self.get(("rec", route, p, spec), lambda: _ROUTES[route](self.slices(p, spec)))
 
-    def john2(self):
-        return self.get("john2", lambda: invert_john(self.slices2()))
-
-    def bump3(self):
-        return self.phantom("bump3", BUMP_N3, default_spec(3))
-
-    def slices3(self):
-        return self.get("slices3", lambda: vslice_forward(self.bump3()))
-
-    def john3(self):
-        return self.get("john3", lambda: invert_john(self.slices3()))
-
-    def margin2(self):
-        return self.phantom("margin2", MARGIN_N2, default_spec(2))
-
-    def margin_slices2(self):
-        return self.get("margin_slices2", lambda: vslice_forward(self.margin2()))
-
-    def margin3(self):
-        return self.phantom("margin3", MARGIN_N3, default_spec(3))
-
-    def margin_slices3(self):
-        return self.get("margin_slices3", lambda: vslice_forward(self.margin3()))
-
-    def john2_report(self):
-        return self.get("john2_report", lambda: compare(self.bump2(), self.john2(), method="john"))
-
-    def john3_report(self):
-        return self.get("john3_report", lambda: compare(self.bump3(), self.john3(), method="john"))
-
-    def ac2(self):
-        return self.get("ac2", lambda: invert_ac(full_transform(self.margin_slices2())))
-
-    def ac2_report(self):
-        return self.get("ac2_report", lambda: compare(self.margin2(), self.ac2(), method="ac"))
-
-    def ac3(self):
-        return self.get("ac3", lambda: invert_ac(full_transform(self.margin_slices3())))
-
-    def ac3_report(self):
-        return self.get("ac3_report", lambda: compare(self.margin3(), self.ac3(), method="ac"))
+    def report(self, route, p, spec):
+        return self.get(
+            ("report", route, p, spec),
+            lambda: compare(self.phantom(p, spec), self.rec(route, p, spec), method=route),
+        )
 
 
 @dataclass
@@ -155,12 +128,13 @@ def _rel_l2_change(a, b):
 def criterion_1(ws):
     """Forward equivalence: an independent chord quadrature vs the spectral
     forward, at every (direction, offset) node."""
-    phantom = ws.bump2()
-    F = ws.slices2()
+    spec = default_spec(2)
+    F = ws.slices(BUMP_N2, spec)
     grid = F.grid
-    direct = ws.get("direct2", lambda: vslice_direct(phantom, grid.ang[:, None, :], grid.t))
+    direct = ws.get(("direct", BUMP_N2, spec), lambda: vslice_direct(
+        ws.phantom(BUMP_N2, spec), grid.ang[:, None, :], grid.t))
     dev = float(np.max(np.abs(direct - F.values)) / np.max(np.abs(F.values)))
-    runtime = ws.seconds("slices2") + ws.seconds("direct2")
+    runtime = ws.seconds(("slices", BUMP_N2, spec)) + ws.seconds(("direct", BUMP_N2, spec))
     passed = dev <= 1e-6 and runtime < 10.0
     return CriterionResult(
         1, "forward equivalence (n=2)", passed,
@@ -170,8 +144,7 @@ def criterion_1(ws):
 
 def criterion_2(ws):
     """Slice transform of the constant function has the closed arc-length form."""
-    flat = make_phantom(Phantom(kind="even_constant"), default_spec(2))
-    F = vslice_forward(flat)
+    F = ws.slices(Phantom(kind="even_constant"), default_spec(2))
     want = math.pi * np.sqrt(1.0 - F.grid.t**2)
     err = float(np.max(np.abs(F.values - want)))
     return CriterionResult(
@@ -222,15 +195,13 @@ def criterion_4(ws):
 def criterion_5(ws):
     """Spectral round trips: exact on the matching band, monotone on a bump."""
     lam = 1.0
-    grid_phantom = make_phantom(Phantom(kind="basis", nu=(2, 1, 1), lam=lam), default_spec(2))
-    F = vslice_forward(grid_phantom)
-    rec = reconstruct(F, lam=lam, band=4)
-    banded = compare(grid_phantom, rec).rel_l2
+    spec = default_spec(2)
+    basis = Phantom(kind="basis", nu=(2, 1, 1), lam=lam)
+    rec = reconstruct(ws.slices(basis, spec), lam=lam, band=4)
+    banded = compare(ws.phantom(basis, spec), rec).rel_l2
 
-    errs = [
-        compare(ws.bump2(), reconstruct(ws.slices2(), lam=lam, band=b)).rel_l2
-        for b in (4, 8, 12)
-    ]
+    bump, F = ws.phantom(BUMP_N2, spec), ws.slices(BUMP_N2, spec)
+    errs = [compare(bump, reconstruct(F, lam=lam, band=b)).rel_l2 for b in (4, 8, 12)]
     passed = banded <= 1e-3 and errs[0] >= errs[1] >= errs[2]
     return CriterionResult(
         5, "SVD round trip", passed,
@@ -242,10 +213,10 @@ def criterion_5(ws):
 def criterion_6(ws):
     """Filtered-backprojection round trips at the default grids."""
     notes = []
-    rep2 = ws.john2_report()
-    rep3 = ws.john3_report()
-    run2 = ws.seconds("slices2") + ws.seconds("john2")
-    run3 = ws.seconds("slices3") + ws.seconds("john3")
+    cases = ((BUMP_N2, default_spec(2)), (BUMP_N3, default_spec(3)))
+    rep2, rep3 = (ws.report("john", p, spec) for p, spec in cases)
+    run2, run3 = (ws.seconds(("slices", p, spec)) + ws.seconds(("rec", "john", p, spec))
+                  for p, spec in cases)
 
     passed = (
         rep2.rel_l2_after_scale <= 0.02
@@ -275,12 +246,12 @@ def criterion_6(ws):
 
 def criterion_7(ws):
     """Hypersingular route: accuracy, eps stability, cross-method agreement."""
-    F = ws.slices2()
-    rec = ws.get("hs2", lambda: invert_hypersingular(F))
-    rep = compare(ws.bump2(), rec, method="hs")
-    halved = invert_hypersingular(F, eps=DEFAULT_EPS / 2.0)
+    spec = default_spec(2)
+    rec = ws.rec("hs", BUMP_N2, spec)
+    rep = ws.report("hs", BUMP_N2, spec)
+    halved = invert_hypersingular(ws.slices(BUMP_N2, spec), eps=DEFAULT_EPS / 2.0)
     eps_change = _rel_l2_change(rec, halved)
-    cross = compare(ws.john2(), rec).rel_l2_after_scale
+    cross = compare(ws.rec("john", BUMP_N2, spec), rec).rel_l2_after_scale
     passed = rep.rel_l2_after_scale <= 0.03 and eps_change <= 0.01 and cross <= 0.03
     return CriterionResult(
         7, "hypersingular inversion (n=2)", passed,
@@ -297,8 +268,8 @@ def criterion_8(ws):
     the ratio of the constants, an exact identity: 2 lambda_3 sigma_3 / c_3 = 1
     and 2 (-sigma_2 / (8 pi^2)) / c_hat_2 = -1/sqrt(pi), to a few ulp.
     """
-    rep2 = ws.ac2_report()
-    rep3 = ws.ac3_report()
+    rep2 = ws.report("ac", MARGIN_N2, default_spec(2))
+    rep3 = ws.report("ac", MARGIN_N3, default_spec(3))
     # the constants invert_ac uses, against invert_john's
     ratio2 = 2.0 * _ac_constant(2) / method_constants(2).c_hat_n
     ratio3 = 2.0 * _ac_constant(3) / method_constants(3).c_n
@@ -343,26 +314,21 @@ def criterion_10(ws):
 
 def criterion_11(ws):
     """Every forward map output is even: F(-theta, -t) = F(theta, t)."""
-    cases = []
-    for n, spec, lam, center in (
-        (2, HALF_N2, 1.0, BUMP_N2.center),
-        (3, HALF_N3, 1.5, BUMP_N3.center),
-    ):
-        cases.extend(
-            (spec, p)
-            for p in (
-                Phantom(kind="even_constant"),
-                Phantom(kind="axial_power", p=2),
-                Phantom(kind="basis", nu=(2, 1, 1), lam=lam),
-                Phantom(kind="bump", center=center, width=0.7),
-                Phantom(kind="bump", center=center, width=0.7, equator_margin=0.25),
-            )
+    cases = [
+        (spec, p)
+        for spec, lam, bump, margin in (
+            (HALF_N2, 1.0, BUMP_N2, MARGIN_N2),
+            (HALF_N3, 1.5, BUMP_N3, MARGIN_N3),
         )
-    worst = 0.0
-    for spec, p in cases:
-        F = vslice_forward(make_phantom(p, spec))
-        flipped = F.values[F.grid.antipodal_index][:, ::-1]
-        worst = max(worst, float(np.max(np.abs(F.values - flipped)) / np.max(np.abs(F.values))))
+        for p in (
+            Phantom(kind="even_constant"),
+            Phantom(kind="axial_power", p=2),
+            Phantom(kind="basis", nu=(2, 1, 1), lam=lam),
+            bump,
+            margin,
+        )
+    ]
+    worst = max(_asymmetry(ws.slices(p, spec)) for spec, p in cases)
     return CriterionResult(
         11, "evenness of slice data", worst <= 1e-10,
         "worst rel asymmetry %.2e over %d phantoms (tol 1e-10)" % (worst, len(cases)),
@@ -371,24 +337,16 @@ def criterion_11(ws):
 
 def criterion_12(ws):
     """John and continuation errors strictly decrease from half to full grids."""
-    h_bump2 = make_phantom(BUMP_N2, HALF_N2)
-    h_F2 = vslice_forward(h_bump2)
-    h_john2 = compare(h_bump2, invert_john(h_F2)).rel_l2_after_scale
-
-    h_bump3 = make_phantom(BUMP_N3, HALF_N3)
-    h_F3 = vslice_forward(h_bump3)
-    h_john3 = compare(h_bump3, invert_john(h_F3)).rel_l2_after_scale
-
-    h_m2 = make_phantom(MARGIN_N2, HALF_N2)
-    h_ac2 = compare(h_m2, invert_ac(full_transform(vslice_forward(h_m2)))).rel_l2_after_scale
-    h_m3 = make_phantom(MARGIN_N3, HALF_N3)
-    h_ac3 = compare(h_m3, invert_ac(full_transform(vslice_forward(h_m3)))).rel_l2_after_scale
-
     pairs = [
-        ("john n=2", h_john2, ws.john2_report().rel_l2_after_scale),
-        ("john n=3", h_john3, ws.john3_report().rel_l2_after_scale),
-        ("ac n=2", h_ac2, ws.ac2_report().rel_l2_after_scale),
-        ("ac n=3", h_ac3, ws.ac3_report().rel_l2_after_scale),
+        ("%s n=%d" % (route, coarse.n),
+         ws.report(route, p, coarse).rel_l2_after_scale,
+         ws.report(route, p, default_spec(coarse.n)).rel_l2_after_scale)
+        for route, p, coarse in (
+            ("john", BUMP_N2, HALF_N2),
+            ("john", BUMP_N3, HALF_N3),
+            ("ac", MARGIN_N2, HALF_N2),
+            ("ac", MARGIN_N3, HALF_N3),
+        )
     ]
     passed = all(coarse > fine for _, coarse, fine in pairs)
     return CriterionResult(

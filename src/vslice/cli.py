@@ -124,7 +124,8 @@ def _build_parser():
     p = sub.add_parser("phantom", help="write a phantom description JSON")
     _add_phantom_flags(p)
     p.add_argument("--grid", type=_grid_counts, default="default",
-                   help="grid for --vsl sampling: 'default' or AxRxT")
+                   help="grid the description is checked on and --vsl samples: "
+                        "'default' or AxRxT")
     p.add_argument("--out", required=True, help="output JSON path")
     p.add_argument("--vsl", help="also sample the phantom and write a .vsl grid dump")
 
@@ -183,16 +184,24 @@ def _grid_spec(counts, n):
     return default_spec(n) if counts is None else GridSpec(n, *counts)
 
 
+def _read_description(path):
+    """(Phantom, n) of the phantom description file at `path`."""
+    payload = read_json(path)
+    n = payload.get("n")
+    if not _is_integer(n):
+        raise ValueError("description field n must be an integer, got %r" % (n,))
+    if "phantom" not in payload:
+        raise ValueError("description has no field phantom")
+    return Phantom.from_dict(payload["phantom"]), n
+
+
 def _phantom_from_args(args):
     """(Phantom, n) from the flag group or a --truth description file."""
     if getattr(args, "truth", None):
-        payload = read_json(args.truth)
-        n = payload["n"]
-        if not _is_integer(n):
-            raise ValueError("description field n must be an integer, got %r" % (n,))
+        p, n = _read_description(args.truth)
         if args.n is not None and args.n != n:
             raise _UsageError("--n disagrees with the description file")
-        return Phantom.from_dict(payload["phantom"]), n
+        return p, n
     if args.phantom is None:
         raise _UsageError("need --phantom (or --truth with a description file)")
     if args.n is None:
@@ -219,10 +228,11 @@ def _run_forward(args):
 
 def _run_phantom(args):
     p, n = _phantom_from_args(args)
+    # sampling checks the description against the grid before anything is written
+    f = make_phantom(p, _grid_spec(args.grid, n))
     write_json(args.out, {"n": n, "phantom": p.to_dict()})
     print("wrote %s" % args.out)
     if args.vsl:
-        f = make_phantom(p, _grid_spec(args.grid, n))
         write_vsl(args.vsl, f)
         print("wrote %s" % args.vsl)
     return 0
@@ -234,6 +244,14 @@ def _run_invert(args):
     data, lam_file = read_vsl(args.infile)
     if not isinstance(data, SliceData):
         raise ValueError("input file holds a hemisphere function, not slice data")
+    if args.truth:
+        # every route reconstructs on the data's grid; sampling the truth
+        # there first rejects a bad description before --out is written
+        described, n = _read_description(args.truth)
+        if n != data.grid.spec.n:
+            raise ValueError("description field n = %d, but the data have n = %d"
+                             % (n, data.grid.spec.n))
+        truth = make_phantom(described, data.grid.spec)
 
     t0 = time.perf_counter()
     if args.method == "john":
@@ -255,8 +273,6 @@ def _run_invert(args):
         write_vsl(args.out, rec)
         print("wrote %s" % args.out)
     if args.truth:
-        payload = read_json(args.truth)
-        truth = make_phantom(Phantom.from_dict(payload["phantom"]), rec.grid.spec)
         rep = compare(truth, rec, method=args.method, runtime_ms=runtime_ms)
         body = rep.to_dict()
         print(json.dumps(body, indent=2, sort_keys=True))

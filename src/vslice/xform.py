@@ -45,7 +45,7 @@ from .grid import (
     GridSpec, SliceData, SphereFunction, _is_integer, _jacobi_rule, _read_only, _symmetrize,
     make_grid,
 )
-from .specfun import _norm_assoc_legendre, sphere_area
+from .specfun import _gegenbauer_table, _norm_assoc_legendre, sphere_area
 
 # Floor of the fine chart an evaluator is sampled on (`_fine_grid`), by n:
 # (angles, radii), the circle's angles at n = 2 and polar nodes at n = 3.
@@ -138,13 +138,16 @@ def _zonal_table(n, lmax, x):
     with P_l(1) = 1: Chebyshev T_l at n = 2, Legendre P_l at n = 3.  By
     Funk-Hecke (Atkinson & Han, Spherical Harmonics and Approximations on the
     Unit Sphere, 2.5) a degree-l harmonic integrated against h(theta . omega)
-    picks up P_l of the cosine."""
+    picks up P_l of the cosine.  Legendre P_l is the Gegenbauer C_l^(1/2)."""
+    if n == 3:
+        return _gegenbauer_table(lmax, 0.5, x)
     P = np.empty((lmax + 1,) + x.shape)
     P[0] = 1.0
     if lmax >= 1:
         P[1] = x
     for l in range(1, lmax):
-        P[l + 1] = ((2 * l + n - 2) * x * P[l] - l * P[l - 1]) / (l + n - 2)
+        # T_(l+1) = 2 x T_l - T_(l-1), rounded as the kernels have always been
+        P[l + 1] = (2 * l * x * P[l] - l * P[l - 1]) / l
     return P
 
 
@@ -390,11 +393,16 @@ def is_even_slice_data(F, tol=1e-12):
     """
     if not isinstance(F, SliceData):
         raise TypeError("is_even_slice_data expects SliceData")
+    return _asymmetry(F) <= tol
+
+
+def _asymmetry(F):
+    """max |F(theta, t) - F(-theta, -t)| / max |F|, and 0 for all-zero data."""
     scale = np.max(np.abs(F.values))
     if scale == 0.0:
-        return True
+        return 0.0
     flipped = F.values[F.grid.antipodal_index][:, ::-1]
-    return bool(np.max(np.abs(F.values - flipped)) <= tol * scale)
+    return float(np.max(np.abs(F.values - flipped)) / scale)
 
 
 def dual_radon(F, xprime):

@@ -6,11 +6,13 @@ artifacts are shared through a module-scoped workspace, so the criteria run
 with the same cached forwards and reconstructions the CLI selftest uses.
 """
 
+import collections
 import math
 
 import pytest
 
 from vslice import acceptance
+from vslice.grid import default_spec
 from vslice.specfun import method_constants
 
 
@@ -55,7 +57,8 @@ def test_criterion_06_john_round_trips(ws):
 def test_n2_published_constant_relation(ws):
     # the best-fit scalar of the n = 2 john route times the published c_hat_2
     # is the exact constant -1/(2 pi) of the even formula
-    product = method_constants(2).c_hat_n * ws.john2_report().best_fit_scalar
+    rep = ws.report("john", acceptance.BUMP_N2, default_spec(2))
+    product = method_constants(2).c_hat_n * rep.best_fit_scalar
     assert abs(product * 2.0 * math.pi + 1.0) < 1e-5
 
 
@@ -106,6 +109,42 @@ def test_workspace_times_are_exclusive(monkeypatch):
     assert (ws.seconds("leaf"), ws.seconds("mid"), ws.seconds("top")) == (2.0, 4.0, 0.75)
     assert ws.get(*mid) == "mid" and ws.seconds("mid") == 4.0
 
+
+def test_criteria_share_pipeline_stages(monkeypatch):
+    # criteria 6, 8 and 12 on one workspace build each (stage, phantom, grid)
+    # once: four pipelines at the default grids and four at the half grids,
+    # and criterion 12's fine-grid figures are the reports of criteria 6 and 8
+    ws = acceptance.Workspace()
+    calls = collections.defaultdict(list)
+
+    def spy(name, fn):
+        def run(*args, **kwargs):
+            calls[name].append(args)
+            return fn(*args, **kwargs)
+        return run
+
+    for name in ("make_phantom", "vslice_forward", "compare"):
+        monkeypatch.setattr(acceptance, name, spy(name, getattr(acceptance, name)))
+    for route in ("john", "ac"):
+        monkeypatch.setitem(acceptance._ROUTES, route, spy(route, acceptance._ROUTES[route]))
+    reads = collections.defaultdict(list)
+    report = ws.report
+
+    def read(route, p, spec):
+        reads[route, p, spec].append(report(route, p, spec))
+        return reads[route, p, spec][-1]
+
+    monkeypatch.setattr(ws, "report", read)
+    for criterion in (acceptance.criterion_6, acceptance.criterion_8, acceptance.criterion_12):
+        assert criterion(ws).passed
+
+    counts = {name: len(args) for name, args in calls.items()}
+    assert counts == {"make_phantom": 8, "vslice_forward": 8, "john": 4, "ac": 4, "compare": 8}
+    assert set(calls["make_phantom"]) == {(p, spec) for _, p, spec in reads}
+    for (route, p, spec), reps in reads.items():
+        fine = spec == default_spec(spec.n)
+        assert len(reps) == (2 if fine else 1)
+        assert all(rep is reps[0] for rep in reps)
 
 
 def test_criterion_result_lines():

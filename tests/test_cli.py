@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from vslice.cli import _parse, cli
-from vslice.harness import read_json, read_vsl
+from vslice.grid import GridSpec
+from vslice.harness import Phantom, make_phantom, read_json, read_vsl
 from vslice.invert_svd import svd_index_set
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -258,6 +259,9 @@ def test_description_n_must_be_integer(n, tmp_path, capsys):
     ({"schema_version": 1, "n": 2, "phantom": {"kind": "bump", "center": [0, 0, "1"]}}, "center"),
     ({"schema_version": 1, "n": 2,
       "phantom": {"kind": "bump", "center": [0, 0, 1], "width": True}}, "width"),
+    pytest.param({"schema_version": 1, "phantom": {"kind": "even_constant"}}, "field n",
+                 id="no-n"),
+    pytest.param({"schema_version": 1, "n": 2}, "field phantom", id="no-phantom"),
 ])
 def test_description_fields_are_checked(body, field, tmp_path, capsys):
     ph = tmp_path / "p.json"
@@ -266,6 +270,61 @@ def test_description_fields_are_checked(body, field, tmp_path, capsys):
                 "--out", str(tmp_path / "s.vsl")]) == 1
     assert field in capsys.readouterr().err
     assert not (tmp_path / "s.vsl").exists()
+
+
+@pytest.mark.parametrize("flags", [
+    [*BUMP_FLAGS, "--width", "5"],
+    ["--phantom", "bump", "--n", "2", "--center", "0,0,1,5"],
+    ["--phantom", "axial_power", "--n", "2", "--power", "-3"],
+    ["--phantom", "basis", "--n", "2", "--nu", "1,7,0"],
+], ids=["width", "center", "power", "nu"])
+def test_phantom_rejects_what_forward_rejects(flags, tmp_path, capsys):
+    # the description is sampled on --grid before anything is written, so a
+    # description that forward --truth would reject is never written
+    ph, vsl = tmp_path / "p.json", tmp_path / "p.vsl"
+    assert cli(["phantom", *flags, "--out", str(ph), "--vsl", str(vsl)]) == 1
+    assert "vslice: error" in capsys.readouterr().err
+    assert not ph.exists() and not vsl.exists()
+
+
+def test_phantom_vsl_is_the_sampled_phantom(tmp_path):
+    vsl = tmp_path / "p.vsl"
+    assert cli(["phantom", *BUMP_FLAGS, "--grid", GRID, "--out", str(tmp_path / "p.json"),
+                "--vsl", str(vsl)]) == 0
+    f, _ = read_vsl(str(vsl))
+    want = make_phantom(Phantom(kind="bump", center=(0.3, -0.2, 0.93), equator_margin=0.25),
+                        GridSpec(2, 64, 24, 32))
+    assert f.grid.spec == want.grid.spec
+    assert f.boundary_exponent == want.boundary_exponent
+    assert np.array_equal(f.smooth, want.smooth)
+
+
+@pytest.mark.parametrize("body, message", [
+    pytest.param({"n": 3, "phantom": {"kind": "even_constant"}}, "field n", id="n3"),
+    pytest.param({"phantom": {"kind": "even_constant"}}, "field n", id="no-n"),
+    pytest.param({"n": 2, "phantom": {"kind": "bump", "center": [0, 0, 1], "width": 5}},
+                 "width", id="width"),
+])
+def test_invert_rejects_description_before_writing(body, message, artifacts, tmp_path, capsys):
+    # the description is checked against the data before the inversion runs
+    _, _, sino = artifacts
+    ph, out = tmp_path / "p.json", tmp_path / "rec.vsl"
+    ph.write_text(json.dumps({"schema_version": 1, **body}))
+    assert cli(["invert", "--method", "john", "--in", str(sino), "--truth", str(ph),
+                "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    pytest.param("{not json", "not valid JSON", id="not-json"),
+    pytest.param("[1, 2]", "must be a JSON object", id="not-object"),
+])
+def test_config_must_be_a_json_object(text, message, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert cli(["svd-table", "--config", str(cfg)]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_svd_table_csv(tmp_path, capsys):
