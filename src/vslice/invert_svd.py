@@ -112,9 +112,10 @@ def slice_singular_function(nu, lam, theta, t):
 
 @lru_cache(maxsize=32)
 def _columns(grid, indices):
-    """Read-only arrays (degree, column, scale) placing each index's Y_{m,mu} at
-    scale * coef[m, :, column] in `_analyse`'s coefficients: column mu - 1 at
-    n = 2 and mu - [mu = 1] at n = 3; scale step/sqrt(pi) for the azimuthal
+    """Read-only arrays (*where, part, scale) placing each index's Y_{m,mu} at
+    scale * coef[(*where, :, part)] in `_analyse`'s coefficients: where = (m,)
+    and part mu - 1 at n = 2; where = (order, m), order mu // 2, and part
+    (mu - [mu = 1]) mod 2 at n = 3.  scale is step/sqrt(pi) for the azimuthal
     step, negated on sines, or step/sqrt(2 pi) at order 0.  Degrees past
     `_kernel_degree`, less the n = 2 mode A/2 (it has no sine), alias and are
     rejected.  `indices` is a tuple."""
@@ -128,9 +129,10 @@ def _columns(grid, indices):
         raise ValueError(f"degree m = {m[bad[0]]} exceeds {top}, the most the angular grid resolves")
     if bad.size:
         raise ValueError(f"harmonic index mu = {mu[bad[0]]} out of range for degree m = {m[bad[0]]}")
-    cols, order = (mu - 1, m) if n == 2 else (mu - (mu == 1), mu // 2)
-    scales = np.where(cols % 2, -step, step) / np.sqrt(np.where(order, np.pi, 2.0 * np.pi))
-    return _read_only((m, cols, scales))
+    order = m if n == 2 else mu // 2
+    where, part = ((m,), mu - 1) if n == 2 else ((order, m), (mu - (mu == 1)) % 2)
+    scales = np.where(part, -step, step) / np.sqrt(np.where(order, np.pi, 2.0 * np.pi))
+    return _read_only((*where, part, scales))
 
 
 @lru_cache(maxsize=32)
@@ -151,16 +153,17 @@ def _singular_values(n, lam, indices):
 def _analysis(grid, smooth, indices, profiles, w):
     """Per index, sum_{a,i} ang_weight_a Y_nu(theta_a) smooth[a, i] profile_nu[i] w_i:
     one harmonic analysis of the samples, then each member's profile."""
-    degs, cols, scales = _columns(grid, tuple(indices))
-    return scales * np.einsum("ni,ni,i->n", _analyse(grid, smooth)[degs, :, cols], profiles, w)
+    *where, part, scales = _columns(grid, tuple(indices))
+    coef = _analyse(grid, smooth)[(*where, slice(None), part)]
+    return scales * np.einsum("ni,ni,i->n", coef, profiles, w)
 
 
 def _synthesis(grid, indices, amplitudes, profiles):
     """Samples of sum_nu amplitude_nu Y_nu profile_nu: one harmonic synthesis."""
-    degs, cols, scales = _columns(grid, tuple(indices))
+    *where, part, scales = _columns(grid, tuple(indices))
     L = _kernel_degree(grid) + 1
-    coef = np.zeros((L, profiles.shape[1], 2 if grid.spec.n == 2 else 2 * L))
-    np.add.at(coef, (degs, slice(None), cols), (amplitudes / scales)[:, None] * profiles)
+    coef = np.zeros((L,) * len(where) + (profiles.shape[1], 2))
+    np.add.at(coef, (*where, slice(None), part), (amplitudes / scales)[:, None] * profiles)
     return _synthesise(grid, coef)
 
 

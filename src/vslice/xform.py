@@ -9,8 +9,9 @@ harmonic integrated over a slice, or backprojected, picks up the zonal
 polynomial of a cosine (`_zonal_table`: T_l at n = 2, Legendre P_l at
 n = 3), so the forward and the backprojection of t-filtered profiles are one
 radial matrix per harmonic degree, which `_harmonic_apply` applies between
-`_analyse` (an azimuthal rFFT, then a Legendre sum per order at n = 3; svd's
-expansions use it too) and `_synthesise`.  The forward's matrix
+`_analyse` (an azimuthal rFFT, then a weighted Legendre sum per order at
+n = 3, whose coefficients stay order-major; svd's expansions use it too) and
+`_synthesise`.  The forward's matrix
 (`_forward_kernel`) folds the slice rule `_slice_rule` (signed chord nodes at
 n = 2, disk radii at n = 3) and the radial interpolation in u = r^2; its
 rule grows with n_radial, so it is exact for every band-limited sample the
@@ -20,7 +21,9 @@ constant and axial-power phantoms) is sampled on a finer chart first
 (`FINE_CHART`), which removes the aliasing of the grid's samples, and the
 result is synthesised at the grid's directions.  The evaluator may carry a
 `cap` (the bump's does, see `harness._bump_evaluator`) outside which it
-vanishes: the slices that miss it (`_meets_support`) are set to exactly 0.
+vanishes: it is asked only for the fine chart's radial windows whose lift
+may meet the cap (`_cap_windows`), and the slices that miss it
+(`_meets_support`) are set to exactly 0.
 The forward keeps one direction per antipodal pair and fills the partner by
 evenness.  ``vslice_direct`` quadratures the slice integral from scratch in
 a different chart and serves as the independent oracle; `spherical_mean` is
@@ -97,25 +100,32 @@ def _legendre_table(grid, at):
     return _read_only(P)
 
 
+@lru_cache(maxsize=8)
+def _analysis_table(grid):
+    """A[j, l, p] = w_p Pbar_l^j(c_p): `_legendre_table(grid, grid)` with the
+    polar weights folded in, the n = 3 grid's analysis sum, read-only."""
+    return _read_only(_legendre_table(grid, grid) * grid.polar_weight)
+
+
 def _analyse(grid, values):
-    """Real harmonic coefficients (degrees, k, 2 orders) of `values`
-    (n_ang_total, k): re and im of azimuthal rFFT order j in columns 2j, 2j + 1,
-    one order (mode l) per degree at n = 2.  At n = 3 the weighted rFFT of each
-    polar ring is summed against Pbar_l^j per order j, the semi-naive transform
-    (Driscoll & Healy, Adv. Appl. Math. 15, 1994), exact to degree n_polar - 1."""
+    """Real harmonic coefficients of `values` (n_ang_total, k), re and im of
+    each azimuthal order last.  n = 2: (degrees, k, 2), one rFFT order (mode l)
+    per degree.  n = 3: order-major C[j, l, k, re/im], zero for l < j: the rFFT
+    of each polar ring summed against w_p Pbar_l^j per order j
+    (`_analysis_table`), the semi-naive transform (Driscoll & Healy, Adv. Appl.
+    Math. 15, 1994), exact to degree n_polar - 1."""
     if grid.spec.n == 2:
         modes = np.fft.rfft(values, axis=0)
         return np.stack([modes.real, modes.imag], axis=-1)
     L, k = grid.n_polar, values.shape[1]
-    rings = values.reshape(L, 2 * L, k) * grid.polar_weight[:, None, None]
-    modes = np.fft.rfft(rings, axis=1)[:, :L].transpose(1, 0, 2)
-    coef = _legendre_table(grid, grid) @ np.ascontiguousarray(modes).view(float)
-    return coef.reshape(L, L, k, 2).transpose(1, 2, 0, 3).reshape(L, k, 2 * L)
+    modes = np.fft.rfft(values.reshape(L, 2 * L, k), axis=1).view(float)[:, :L]
+    return (_analysis_table(grid) @ modes.transpose(1, 0, 2)).reshape(L, L, k, 2)
 
 
 def _synthesise(grid, coef, at=None):
     """Samples (n_ang_total, k) of the harmonics with coefficients `coef`, laid
-    out as `_analyse` returns them; the inverse of `_analyse` on its band.
+    out as `_analyse` returns them (at n = 3 (j, l, k, re/im), whose l < j
+    entries must be 0); the inverse of `_analyse` on its band.
 
     With `at`, a grid whose azimuths are every step-th of grid's (`_fine_grid`
     makes them), the samples at at's directions instead: at n = 2 every
@@ -126,9 +136,8 @@ def _synthesise(grid, coef, at=None):
     if grid.spec.n == 2:
         out = np.fft.irfft(coef[..., 0] + 1j * coef[..., 1], n=grid.n_ang_total, axis=0)
         return out[::grid.n_ang_total // at.n_ang_total]
-    L, k = grid.n_polar, coef.shape[1]
-    G = coef.reshape(L, k, L, 2).transpose(2, 0, 1, 3).reshape(L, L, 2 * k)
-    rings = (_legendre_table(grid, at).transpose(0, 2, 1) @ G).view(complex)
+    L, k = grid.n_polar, coef.shape[2]
+    rings = (_legendre_table(grid, at).transpose(0, 2, 1) @ coef.reshape(L, L, 2 * k)).view(complex)
     out = np.fft.irfft(rings.transpose(1, 0, 2), n=2 * L, axis=1)
     return out[:, ::grid.n_azim // at.n_azim].reshape(-1, k)
 
@@ -162,12 +171,20 @@ def _harmonic_apply(grid, values, K, at=None):
     `values` (n_ang_total, K.shape[2]); returns (n_ang_total, K.shape[1]), at
     the directions of `at` if given (see `_synthesise`).
 
-    The package's one angular operator, K acting on every order of a degree
-    at once.  The forward passes `_forward_kernel`, on the fine chart for an
-    evaluator; `john` and `ac` pass `_filter_kernel`, since
-    -Delta R*g = R*(-g''); `hs` its annulus kernel.
+    The package's one angular operator, K[l] acting on every order of degree l
+    at once; at n = 3 on the orders j <= l only, one order's degrees per
+    product, so the zero triangle l < j of the coefficients is never
+    multiplied.  The forward passes `_forward_kernel`, on the fine chart for an
+    evaluator; `john` and `ac` pass `_filter_kernel`, since -Delta R*g =
+    R*(-g''); `hs` its annulus kernel.
     """
-    return _synthesise(grid, K @ _analyse(grid, values), at)
+    coef = _analyse(grid, values)
+    if grid.spec.n == 2:
+        return _synthesise(grid, K @ coef, at)
+    out = np.zeros(coef.shape[:2] + (K.shape[1], 2))
+    for j in range(coef.shape[0]):
+        np.matmul(K[j:], coef[j, j:], out=out[j, j:])
+    return _synthesise(grid, out, at)
 
 
 def _frames(theta):
@@ -268,14 +285,78 @@ def _fine_grid(grid):
     return make_grid(GridSpec(spec.n, step * spec.n_angular, max(radii, spec.n_radial), spec.n_t))
 
 
+def _cap_windows(grid, cap):
+    """Radial node windows [k0, k1), (n_ang_total,) each, outside which the
+    lift (r theta, sqrt(1 - r^2)) of every node misses the cap (c, cos w) and
+    its reflection (c', -c_{n+1}); k0 = k1 = 0 where the whole ray misses both.
+
+    With r = sin(beta) on the ray, x . c = r a + sqrt(1 - r^2) z = R cos(beta
+    - delta), where a = theta . c', R = |(a, z)|, delta = atan2(a, z) and
+    z = +-c_{n+1} for the two caps: each meets the ray on the arc |beta -
+    delta| < arccos(cos w / R) (mod 2 pi) within [0, pi/2].  The window is the
+    hull of both arcs' nodes, widened by one node on each side for rounding.
+    """
+    c, cos_w = cap
+    a = grid.ang @ c[:-1]
+    R = np.hypot(a, c[-1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        half = np.arccos(np.clip(cos_w / R, -1.0, 1.0))
+    meets = R > cos_w
+    lo, hi = np.full(a.shape, np.inf), np.full(a.shape, -np.inf)
+    for z in (c[-1], -c[-1]):
+        delta = np.arctan2(a, z)
+        for mid in (delta, delta + 2.0 * np.pi):
+            b0, b1 = np.maximum(mid - half, 0.0), np.minimum(mid + half, 0.5 * np.pi)
+            arc = meets & (b0 <= b1)
+            lo, hi = np.where(arc, np.minimum(lo, b0), lo), np.where(arc, np.maximum(hi, b1), hi)
+    beta = np.arcsin(grid.r)
+    k0 = np.maximum(np.searchsorted(beta, lo, "right") - 1, 0)
+    k1 = np.minimum(np.searchsorted(beta, hi, "left") + 1, beta.size)
+    hit = lo <= hi
+    return np.where(hit, k0, 0), np.where(hit, k1, 0)
+
+
+def _slabs(k0, k1, size):
+    """(rows, lo, hi) covering every direction's window [k0, k1) once: the
+    directions sorted by window, runs of equal windows merged while rows x
+    (hi - lo) of their hull [lo, hi) stays within `size`, each slab then split
+    into pieces of at most `size` points (or one direction)."""
+    rows = np.flatnonzero(k1 > k0)
+    rows = rows[np.lexsort((k1[rows], k0[rows]))]
+    s0, s1 = k0[rows], k1[rows]
+    bounds = np.r_[0, np.flatnonzero((np.diff(s0) != 0) | (np.diff(s1) != 0)) + 1, rows.size]
+    slabs = []  # [first, stop, lo, hi], positions in the sorted rows
+    for b, e in zip(bounds[:-1], bounds[1:]):
+        if slabs:
+            first, _, lo, hi = slabs[-1]
+            if (e - first) * (max(hi, s1[b]) - lo) <= size:
+                slabs[-1] = [first, e, lo, max(hi, s1[b])]
+                continue
+        slabs.append([b, e, s0[b], s1[b]])
+    for b, e, lo, hi in slabs:
+        step = max(1, size // (hi - lo))
+        for i in range(b, e, step):
+            yield rows[i:min(i + step, e)], lo, hi
+
+
 def _sample(ev, grid):
-    """The evaluator ev at grid's ball chart nodes, (n_ang_total, n_radial),
-    one call per chunk of directions of at most `_EVALUATOR_POINTS` points;
-    the points are `grid.ball_points`, bitwise, which are never all formed."""
-    out = np.empty((grid.n_ang_total, grid.spec.n_radial))
-    step = max(1, _EVALUATOR_POINTS // grid.spec.n_radial)
-    for lo in range(0, grid.n_ang_total, step):
-        out[lo:lo + step] = ev(grid.ang[lo:lo + step, None, :] * grid.r[None, :, None])
+    """The evaluator ev at grid's ball chart nodes, (n_ang_total, n_radial).
+
+    The points are `grid.ball_points`, bitwise, which are never all formed:
+    each call takes a slab of directions and one window of radial nodes,
+    at most `_EVALUATOR_POINTS` points, each node once.  An evaluator, or the
+    one it wraps, that carries a `cap` (see `_meets_support`) is asked only
+    for the nodes in its directions' `_cap_windows`, and every other entry is
+    +0.0; without one, every direction's whole ray is.
+    """
+    out = np.zeros((grid.n_ang_total, grid.spec.n_radial))
+    cap = getattr(inspect.unwrap(ev), "cap", None)
+    if cap is None:
+        k0, k1 = np.zeros(grid.n_ang_total, int), np.full(grid.n_ang_total, grid.spec.n_radial)
+    else:
+        k0, k1 = _cap_windows(grid, cap)
+    for rows, lo, hi in _slabs(k0, k1, _EVALUATOR_POINTS):
+        out[rows, lo:hi] = ev(grid.ang[rows, None, :] * grid.r[None, lo:hi, None])
     return out
 
 

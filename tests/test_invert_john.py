@@ -178,3 +178,25 @@ def test_even_convergence_three_levels():
         rec = invert_john(vslice_forward(f))
         errs.append(compare(f, rec).rel_l2_after_scale)
     assert errs[0] > errs[1] > errs[2]
+
+
+# john o V at n = 3 on three basis functions, relative to the peak, measured
+# on GridSpec(3, 16, 24, n_t); the error grows about 10x per doubling of n_t
+# (ROADMAP direction 5), and each figure may at most double
+BASIS_DRIFT_N3 = {
+    (64, SvdIndex(5, 7, 2)): 3.3e-12,
+    (64, SvdIndex(3, 2, 1)): 6.3e-12,
+    (64, SvdIndex(0, 1, 4)): 2.3e-12,
+    (128, SvdIndex(5, 7, 2)): 2.8e-11,
+    (128, SvdIndex(3, 2, 1)): 5.1e-11,
+    (128, SvdIndex(0, 1, 4)): 2.7e-11,
+}
+
+
+@pytest.mark.parametrize("n_t, nu", list(BASIS_DRIFT_N3))
+def test_odd_basis_accuracy_pinned_in_n_t(n_t, nu):
+    g = make_grid(GridSpec(3, 16, 24, n_t))
+    eta = sphere_basis_grid(nu, 1.5, g)
+    rec = invert_john(vslice_forward(eta))
+    err = np.max(np.abs(rec.values - eta.values)) / np.max(np.abs(eta.values))
+    assert err <= 2.0 * BASIS_DRIFT_N3[n_t, nu], err

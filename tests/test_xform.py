@@ -33,13 +33,14 @@ from vslice import (
 from vslice import grid, invert_hs, invert_svd, specfun, xform
 from vslice.acceptance import BUMP_N2, BUMP_N3, HALF_N2, HALF_N3, MARGIN_N2, MARGIN_N3
 from vslice.grid import _jacobi_rule
-from vslice.harness import make_phantom
+from vslice.harness import _bump_evaluator, make_phantom
 from vslice.invert_hs import _annulus_kernel
 from vslice.invert_svd import _columns, _grid_profiles, _index_set, _singular_values
 from vslice.specfun import _svd_constants, sphere_area
 from vslice.xform import (
     _EVALUATOR_POINTS,
     FINE_CHART,
+    _analysis_table,
     _filter_kernel,
     _fine_grid,
     _forward_kernel,
@@ -381,10 +382,11 @@ with open("/proc/self/status") as fh:
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
 def test_forward_memory_bound():
-    # the default n = 3 bump forward samples 2.65 M fine-chart points; in
-    # chunks its process peaks near 165 MB, where one evaluator call over
-    # every point peaked at 277 MB.  The peak is VmHWM, in kB: ru_maxrss
-    # survives exec on Linux, so a child reports at least the test runner's own
+    # the default n = 3 bump forward samples 1.15 M of the 2.65 M fine-chart
+    # points, in slabs; its process peaks near 130 MB (165 MB over the whole
+    # chart in chunks, 277 MB in one evaluator call over every point).  The
+    # peak is VmHWM, in kB: ru_maxrss survives exec on Linux, so a child
+    # reports at least the test runner's own
     out = subprocess.run(
         [sys.executable, "-c", MEMORY_RUN % os.path.join(ROOT, "src")],
         capture_output=True, text=True, check=True,
@@ -569,42 +571,113 @@ def test_cap_edge_slices(ph, spec):
     assert any(kept) and not all(kept)
 
 
+def _cap_dots(c, p):
+    """x . c and x . (c', -c_{n+1}) of the lifts x of chart points p."""
+    xl = np.sqrt(np.maximum(1.0 - (p * p).sum(axis=-1), 0.0))
+    a = p @ c[:-1]
+    return a + xl * c[-1], a - xl * c[-1]
+
+
+def _chart_recorder(fine, ev):
+    """(counts, sizes, rec): rec(p) checks that every point p passes is a
+    fine-chart node, bitwise, adds 1 to its count (direction, radius), records
+    the call's size and returns ev(p).  p's rows are directions and its
+    columns radii, found by the nearest polar cosine, azimuth and radius
+    (n = 3) and then compared exactly."""
+    counts = np.zeros((fine.n_ang_total, fine.spec.n_radial), dtype=int)
+    sizes = []
+
+    def rec(p):
+        k = np.abs(np.linalg.norm(p[0], axis=-1)[:, None] - fine.r).argmin(axis=1)
+        x = p[:, 0] / np.linalg.norm(p[:, 0], axis=-1, keepdims=True)
+        ring = np.abs(x[:, 2, None] - fine.polar_cos).argmin(axis=1)
+        azim = np.rint(np.arctan2(x[:, 1], x[:, 0]) / (2.0 * np.pi / fine.n_azim)).astype(int)
+        d = ring * fine.n_azim + azim % fine.n_azim
+        assert np.array_equal(p, fine.ang[d, None, :] * fine.r[None, k, None])
+        np.add.at(counts, (d[:, None], k[None, :]), 1)
+        sizes.append(p.shape[0] * p.shape[1])
+        return ev(p)
+
+    return counts, sizes, rec
+
+
 def test_evaluator_sees_the_fine_chart():
-    # the evaluator is asked for the fine chart's nodes, bitwise, each once,
-    # in chunks of whole directions of at most _EVALUATOR_POINTS points; the
-    # cap only masks the output.  Multiples and sums of the bump carry no
-    # cap, and give twice the forward, bitwise, on the slices it keeps
+    # the evaluator is asked for fine-chart nodes, bitwise, each at most once,
+    # in chunks of at most _EVALUATOR_POINTS points, and for every node whose
+    # lift lies in the cap or its reflection.  Multiples and sums of the bump
+    # carry no cap: they see the whole chart, once and twice, and give twice
+    # the forward, bitwise, on the slices it keeps
     f = make_phantom(BUMP_N3, HALF_N3)
     fine = _fine_grid(f.grid)
     assert (fine.n_polar, fine.spec.n_radial) == FINE_CHART[3]
     assert fine.n_azim % f.grid.n_azim == 0
-    sizes = []
     ev = f.evaluator
-
-    def seen(p):
-        lo = sum(sizes)
-        sizes.append(p.shape[0])
-        assert np.array_equal(p, fine.ang[lo:lo + p.shape[0], None, :] * fine.r[None, :, None])
-        return ev(p)
-
+    counts, sizes, seen = _chart_recorder(fine, ev)
     seen.__wrapped__ = ev
-    g = SphereFunction(f.grid, f.smooth, f.boundary_exponent, seen)
-    F = vslice_forward(g).values
-    assert sum(sizes) == fine.n_ang_total and len(sizes) > 1
-    assert max(sizes) * fine.spec.n_radial <= _EVALUATOR_POINTS
+    F = vslice_forward(SphereFunction(f.grid, f.smooth, f.boundary_exponent, seen)).values
     assert np.array_equal(F, vslice_forward(f).values)
+    assert len(sizes) > 1 and max(sizes) <= _EVALUATOR_POINTS
+    c, cos_w = ev.cap
+    up, down = (np.multiply.outer(fine.ang @ c[:-1], fine.r) + s * np.sqrt(1.0 - fine.r**2) * c[-1]
+                for s in (1.0, -1.0))
+    assert counts.max() == 1 and np.all(counts[(up > cos_w) | (down > cos_w)] == 1)
+    assert counts.sum() < 0.5 * counts.size
     kept = _kept(f)
-
-    def counted(p):
-        sizes.append(p.shape[0])
-        return ev(p)
-
-    c = SphereFunction(f.grid, f.smooth, f.boundary_exponent, counted)
-    for h, calls in ((2.0 * c, 1), (c + c, 2)):
-        sizes.clear()
-        H = vslice_forward(h).values
-        assert sum(sizes) == calls * fine.n_ang_total
+    for times in (1, 2):
+        counts, sizes, counted = _chart_recorder(fine, ev)
+        c = SphereFunction(f.grid, f.smooth, f.boundary_exponent, counted)
+        H = vslice_forward(2.0 * c if times == 1 else c + c).values
+        assert np.all(counts == times) and max(sizes) <= _EVALUATOR_POINTS
         assert np.array_equal(H[kept], 2.0 * F[kept])
+
+
+def _rim_indicators(fine, center, width, count):
+    """Indicators of a cap and its reflection, each carrying its cap, whose
+    cos w is one ulp under the dot, as the indicator computes it, of one of
+    the `count` fine-chart nodes nearest the rim cos(width): that node lies
+    inside by one ulp, where the windows' trigonometry may round either way."""
+    c = np.asarray(center, dtype=float) / np.linalg.norm(center)
+    dots = np.maximum(*_cap_dots(c, fine.ang[:, None, :] * fine.r[None, :, None])).ravel()
+
+    def indicator(cos_w):
+        def ev(p):
+            up, down = _cap_dots(c, p)
+            return ((up > cos_w) | (down > cos_w)).astype(float)
+
+        ev.cap = (c, cos_w)
+        return ev
+
+    near = dots[np.argsort(np.abs(dots - math.cos(width)))[:count]]
+    return [indicator(np.nextafter(v, -np.inf)) for v in near]
+
+
+@pytest.mark.parametrize("make, spec", [
+    (lambda fine: [make_phantom(BUMP_N3, HALF_N3).evaluator], HALF_N3),
+    (lambda fine: [_bump_evaluator((0.6, -0.3, 0.2, 0.7), 0.5, 0.0, 3)], HALF_N3),
+    (lambda fine: [make_phantom(MARGIN_N2, HALF_N2).evaluator], HALF_N2),
+    (lambda fine: _rim_indicators(fine, (0.7, 0.5, -0.3), 0.6, 40), HALF_N2),
+    (lambda fine: _rim_indicators(fine, (0.2, 0.5, 0.8), 0.04, 40), HALF_N2),
+], ids=["bump3-pole", "off-pole3", "margin2", "reflected2", "narrow2"])
+def test_windowed_sampling_is_whole_chart(make, spec):
+    # the cap's windows leave out only nodes the evaluator is +0.0 at: the
+    # samples equal, bitwise, those of the same evaluator without its cap,
+    # which is asked for every node, and fewer points are evaluated.  The
+    # default n = 3 bump holds the pole, the second does not; the reflected
+    # cap (c', -c_{n+1}) holds most of the first indicator's chart support;
+    # the last is a few fine nodes wide
+    fine = _fine_grid(make_grid(spec))
+    for ev in make(fine):
+        points = []
+
+        def counted(p):
+            points.append(p.shape[0] * p.shape[1])
+            return ev(p)
+
+        counted.__wrapped__ = ev
+        windowed = xform._sample(counted, fine)
+        whole = xform._sample(lambda p: ev(p), fine)
+        assert np.array_equal(windowed, whole) and not np.any(np.signbit(windowed))
+        assert np.any(whole) and sum(points) < whole.size
 
 
 # -- antipodal fold --------------------------------------------------------------
@@ -736,6 +809,7 @@ def test_cached_arrays_are_read_only():
         *_jacobi_rule(8, 0.0, 0.0),
         _legendre_table(small3, small3),
         _legendre_table(_fine_grid(small3), small3),
+        _analysis_table(small3),
         *_funk_hecke_rule(small2),
         *_funk_hecke_rule(small3),
         _filter_kernel(small2, None),
@@ -751,7 +825,7 @@ def test_cached_arrays_are_read_only():
     # make_grid's grids are covered by their arrays in grid_arrays, and the
     # index tuples and constants hold no arrays
     covered = {
-        make_grid, _jacobi_rule, _legendre_table, _funk_hecke_rule, _filter_kernel,
+        make_grid, _jacobi_rule, _legendre_table, _analysis_table, _funk_hecke_rule, _filter_kernel,
         _forward_kernel, _annulus_kernel, Grid.radial_weights, Grid.t_weights,
         _columns, _grid_profiles, _singular_values, _index_set, _svd_constants,
     }
