@@ -145,7 +145,9 @@ def _bump_evaluator(center, width, margin, n):
 
     def ev(pts):
         pts = np.asarray(pts, dtype=float)
-        u = sum(pts[..., k] * pts[..., k] for k in range(n))
+        u = pts[..., 0] * pts[..., 0]
+        for k in range(1, n):
+            u += pts[..., k] * pts[..., k]
         xl = np.sqrt(np.maximum(1.0 - u, 0.0))
         base = pts @ cp
         vals = _cap_profile(base + xl * cl, width) + _cap_profile(base - xl * cl, width)

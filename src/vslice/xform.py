@@ -22,8 +22,9 @@ constant and axial-power phantoms) is sampled on a finer chart first
 result is synthesised at the grid's directions.  The evaluator may carry a
 `cap` (the bump's does, see `harness._bump_evaluator`) outside which it
 vanishes: it is asked only for the fine chart's radial windows whose lift
-may meet the cap (`_cap_windows`), and the slices that miss it
-(`_meets_support`) are set to exactly 0.
+may meet the cap (`_cap_windows`), the harmonic layer takes only the radial
+columns before the last window's end (the rest are 0 in every direction),
+and the slices that miss the cap (`_meets_support`) are set to exactly 0.
 The forward keeps one direction per antipodal pair and fills the partner by
 evenness.  ``vslice_direct`` quadratures the slice integral from scratch in
 a different chart and serves as the independent oracle; `spherical_mean` is
@@ -174,9 +175,9 @@ def _harmonic_apply(grid, values, K, at=None):
     The package's one angular operator, K[l] acting on every order of degree l
     at once; at n = 3 on the orders j <= l only, one order's degrees per
     product, so the zero triangle l < j of the coefficients is never
-    multiplied.  The forward passes `_forward_kernel`, on the fine chart for an
-    evaluator; `john` and `ac` pass `_filter_kernel`, since -Delta R*g =
-    R*(-g''); `hs` its annulus kernel.
+    multiplied.  The forward passes `_forward_kernel`, for an evaluator on
+    the fine chart and cut to `_sample`'s columns; `john` and `ac` pass
+    `_filter_kernel`, since -Delta R*g = R*(-g''); `hs` its annulus kernel.
     """
     coef = _analyse(grid, values)
     if grid.spec.n == 2:
@@ -320,8 +321,11 @@ def _slabs(k0, k1, size):
     """(rows, lo, hi) covering every direction's window [k0, k1) once: the
     directions sorted by window, runs of equal windows merged while rows x
     (hi - lo) of their hull [lo, hi) stays within `size`, each slab then split
-    into pieces of at most `size` points (or one direction)."""
+    into pieces of at most `size` points (or one direction); none when every
+    window is empty."""
     rows = np.flatnonzero(k1 > k0)
+    if rows.size == 0:
+        return
     rows = rows[np.lexsort((k1[rows], k0[rows]))]
     s0, s1 = k0[rows], k1[rows]
     bounds = np.r_[0, np.flatnonzero((np.diff(s0) != 0) | (np.diff(s1) != 0)) + 1, rows.size]
@@ -340,23 +344,31 @@ def _slabs(k0, k1, size):
 
 
 def _sample(ev, grid):
-    """The evaluator ev at grid's ball chart nodes, (n_ang_total, n_radial).
+    """The evaluator ev at grid's ball chart nodes, radial columns [0, top)
+    only, (n_ang_total, top).
 
     The points are `grid.ball_points`, bitwise, which are never all formed:
     each call takes a slab of directions and one window of radial nodes,
-    at most `_EVALUATOR_POINTS` points, each node once.  An evaluator, or the
-    one it wraps, that carries a `cap` (see `_meets_support`) is asked only
-    for the nodes in its directions' `_cap_windows`, and every other entry is
-    +0.0; without one, every direction's whole ray is.
+    at most `_EVALUATOR_POINTS` points, each node once, written one
+    coordinate at a time.  An evaluator, or the one it wraps, that carries a
+    `cap` (see `_meets_support`) is asked only for the nodes in its
+    directions' `_cap_windows`, every other entry is +0.0, and top is the
+    last window's end (0 when no ray meets the cap): the columns left out
+    are +0.0 in every direction.  Without a cap every direction's whole ray
+    is asked for, and top = n_radial.
     """
-    out = np.zeros((grid.n_ang_total, grid.spec.n_radial))
+    n, n_radial = grid.spec.n, grid.spec.n_radial
     cap = getattr(inspect.unwrap(ev), "cap", None)
     if cap is None:
-        k0, k1 = np.zeros(grid.n_ang_total, int), np.full(grid.n_ang_total, grid.spec.n_radial)
+        k0, k1 = np.zeros(grid.n_ang_total, int), np.full(grid.n_ang_total, n_radial)
     else:
         k0, k1 = _cap_windows(grid, cap)
+    out = np.zeros((grid.n_ang_total, k1.max()))
     for rows, lo, hi in _slabs(k0, k1, _EVALUATOR_POINTS):
-        out[rows, lo:hi] = ev(grid.ang[rows, None, :] * grid.r[None, lo:hi, None])
+        p = np.empty((rows.size, hi - lo, n))
+        for i in range(n):
+            np.multiply(grid.ang[rows, i, None], grid.r[None, lo:hi], out=p[..., i])
+        out[rows, lo:hi] = ev(p)
     return out
 
 
@@ -365,11 +377,12 @@ def vslice_forward(f):
 
     Computes F(theta_i, t_j) = sqrt(1 - t_j^2) * Radon(lift f)(theta_i, t_j)
     with `_harmonic_apply` and `_forward_kernel`, exact for band-limited
-    samples the grid resolves.  Sampled functions take it on
-    their own samples.  A function with an evaluator takes it on the
-    evaluator's samples at the nodes of the finer `_fine_grid`, synthesised
-    at the grid's directions.  Of those, one direction per antipodal pair is
-    kept, its slices that miss the evaluator's support (`_meets_support`) set
+    samples the grid resolves.  Sampled functions take it on their own
+    samples.  A function with an evaluator takes it on the evaluator's
+    samples at the nodes of the finer `_fine_grid`, radial columns [0, top)
+    only (`_sample`) with the kernel's columns to match, synthesised at the
+    grid's directions.  Of those, one direction per antipodal pair is kept,
+    its slices that miss the evaluator's support (`_meets_support`) set
     to +0.0, and the partner gets the profile reversed in t: f is even, so
     F(-theta, -t) = F(theta, t) exactly.  The stored boundary exponent rises
     by (n-1)/2, which is exact.
@@ -382,7 +395,9 @@ def vslice_forward(f):
         out = _harmonic_apply(grid, f.smooth, _forward_kernel(grid, e))
     else:
         fine = _fine_grid(grid)
-        full = _harmonic_apply(fine, _sample(f.evaluator, fine), _forward_kernel(fine, e), grid)
+        values = _sample(f.evaluator, fine)
+        K = _forward_kernel(fine, e)[:, :, :values.shape[1]]
+        full = _harmonic_apply(fine, values, K, grid)
         sel = np.arange(grid.n_ang_total) < grid.antipodal_index
         half = np.where(_meets_support(f.evaluator, grid.ang[sel], grid.t), full[sel], 0.0)
         out = np.empty((grid.n_ang_total, grid.spec.n_t))

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -383,10 +384,11 @@ with open("/proc/self/status") as fh:
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
 def test_forward_memory_bound():
     # the default n = 3 bump forward samples 1.15 M of the 2.65 M fine-chart
-    # points, in slabs; its process peaks near 130 MB (165 MB over the whole
-    # chart in chunks, 277 MB in one evaluator call over every point).  The
-    # peak is VmHWM, in kB: ru_maxrss survives exec on Linux, so a child
-    # reports at least the test runner's own
+    # points, in slabs, and transforms only the 93 of 144 radial columns its
+    # windows reach; its process peaks near 105 MB (130 MB over every column,
+    # 165 MB over the whole chart in chunks, 277 MB in one evaluator call over
+    # every point).  The peak is VmHWM, in kB: ru_maxrss survives exec on
+    # Linux, so a child reports at least the test runner's own
     out = subprocess.run(
         [sys.executable, "-c", MEMORY_RUN % os.path.join(ROOT, "src")],
         capture_output=True, text=True, check=True,
@@ -651,20 +653,22 @@ def _rim_indicators(fine, center, width, count):
     return [indicator(np.nextafter(v, -np.inf)) for v in near]
 
 
-@pytest.mark.parametrize("make, spec", [
-    (lambda fine: [make_phantom(BUMP_N3, HALF_N3).evaluator], HALF_N3),
-    (lambda fine: [_bump_evaluator((0.6, -0.3, 0.2, 0.7), 0.5, 0.0, 3)], HALF_N3),
-    (lambda fine: [make_phantom(MARGIN_N2, HALF_N2).evaluator], HALF_N2),
-    (lambda fine: _rim_indicators(fine, (0.7, 0.5, -0.3), 0.6, 40), HALF_N2),
-    (lambda fine: _rim_indicators(fine, (0.2, 0.5, 0.8), 0.04, 40), HALF_N2),
+@pytest.mark.parametrize("make, spec, top", [
+    (lambda fine: [make_phantom(BUMP_N3, HALF_N3).evaluator], HALF_N3, 93),
+    (lambda fine: [_bump_evaluator((0.6, -0.3, 0.2, 0.7), 0.5, 0.0, 3)], HALF_N3, 119),
+    (lambda fine: [make_phantom(MARGIN_N2, HALF_N2).evaluator], HALF_N2, 132),
+    (lambda fine: _rim_indicators(fine, (0.7, 0.5, -0.3), 0.6, 40), HALF_N2, 192),
+    (lambda fine: _rim_indicators(fine, (0.2, 0.5, 0.8), 0.04, 40), HALF_N2, None),
 ], ids=["bump3-pole", "off-pole3", "margin2", "reflected2", "narrow2"])
-def test_windowed_sampling_is_whole_chart(make, spec):
+def test_windowed_sampling_is_whole_chart(make, spec, top):
     # the cap's windows leave out only nodes the evaluator is +0.0 at: the
-    # samples equal, bitwise, those of the same evaluator without its cap,
-    # which is asked for every node, and fewer points are evaluated.  The
+    # samples are, bitwise, the first `top` radial columns of those of the
+    # same evaluator without its cap, which is asked for every node, every
+    # later column of which is +0.0, and fewer points are evaluated.  The
     # default n = 3 bump holds the pole, the second does not; the reflected
-    # cap (c', -c_{n+1}) holds most of the first indicator's chart support;
-    # the last is a few fine nodes wide
+    # cap (c', -c_{n+1}) holds most of the first indicator's chart support
+    # and reaches the rim, so it keeps every column; the last is a few fine
+    # nodes wide, and its top varies with the rim node
     fine = _fine_grid(make_grid(spec))
     for ev in make(fine):
         points = []
@@ -676,8 +680,40 @@ def test_windowed_sampling_is_whole_chart(make, spec):
         counted.__wrapped__ = ev
         windowed = xform._sample(counted, fine)
         whole = xform._sample(lambda p: ev(p), fine)
-        assert np.array_equal(windowed, whole) and not np.any(np.signbit(windowed))
+        k = windowed.shape[1]
+        assert whole.shape == (fine.n_ang_total, fine.spec.n_radial)
+        assert k == top if top is not None else k < fine.spec.n_radial
+        assert np.array_equal(windowed, whole[:, :k]) and not np.any(np.signbit(windowed))
+        assert np.all(whole[:, k:] == 0.0) and not np.any(np.signbit(whole[:, k:]))
         assert np.any(whole) and sum(points) < whole.size
+
+
+@pytest.mark.parametrize("spec", [default_spec(2), default_spec(3)], ids=["n2", "n3"])
+def test_forward_of_a_cap_between_fine_rays(spec):
+    # a 1e-4-wide cap centred between two fine rays, off the pole, meets no
+    # ray's lift: every window is empty, the evaluator is never asked and
+    # the forward is +0.0 at the grid's shape, with no error or warning
+    g = make_grid(spec)
+    fine = _fine_grid(g)
+    if spec.n == 2:
+        d = fine.ang[0] + fine.ang[1]
+    else:
+        ring = fine.n_polar // 2
+        d = fine.ang[fine.n_azim * (ring - 1)] + fine.ang[fine.n_azim * ring + 1]
+    c = np.append(math.cos(0.5) * d / np.linalg.norm(d), math.sin(0.5))
+    ev = _bump_evaluator(c, 1e-4, 0.0, spec.n)
+    assert xform._cap_windows(fine, ev.cap)[1].max() == 0
+
+    def never(p):
+        raise AssertionError("the evaluator was asked for points")
+
+    never.__wrapped__ = ev
+    with np.errstate(all="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert xform._sample(never, fine).shape == (fine.n_ang_total, 0)
+        F = vslice_forward(SphereFunction.from_function(g, ev)).values
+    assert F.shape == (g.n_ang_total, spec.n_t)
+    assert np.all(F == 0.0) and not np.any(np.signbit(F))
 
 
 # -- antipodal fold --------------------------------------------------------------
