@@ -25,10 +25,11 @@ vanishes: it is asked only for the fine chart's radial windows whose lift
 may meet the cap (`_cap_windows`), the harmonic layer takes only the radial
 columns before the last window's end (the rest are 0 in every direction),
 and the slices that miss the cap (`_meets_support`) are set to exactly 0.
-The forward keeps one direction per antipodal pair and fills the partner by
-evenness.  ``vslice_direct`` quadratures the slice integral from scratch in
-a different chart and serves as the independent oracle; `spherical_mean` is
-its V = 2 V_+ rescaling.
+The slice {x . theta = t} is the slice {x . (-theta) = -t}, so the forward
+integrates only the offsets t >= 0, at every direction, and reads each
+t < 0 from the antipode.  ``vslice_direct`` quadratures the slice integral
+from scratch in a different chart and serves as the independent oracle;
+`spherical_mean` is its V = 2 V_+ rescaling.
 
 Also here: the dual (backprojection) operator `dual_radon`, the spatial
 oracle, and the t-filter kernels of the filtered routes: `john` and `ac`
@@ -131,16 +132,37 @@ def _synthesise(grid, coef, at=None):
     With `at`, a grid whose azimuths are every step-th of grid's (`_fine_grid`
     makes them), the samples at at's directions instead: at n = 2 every
     step-th direction, at n = 3 the Legendre sums at at's polar cosines
-    (`_legendre_table(grid, at)`), then every step-th azimuth.
+    (`_legendre_table(grid, at)`), aliased onto at's azimuths (`_alias`)
+    and synthesised there only.
     """
     at = grid if at is None else at
     if grid.spec.n == 2:
         out = np.fft.irfft(coef[..., 0] + 1j * coef[..., 1], n=grid.n_ang_total, axis=0)
         return out[::grid.n_ang_total // at.n_ang_total]
     L, k = grid.n_polar, coef.shape[2]
-    rings = (_legendre_table(grid, at).transpose(0, 2, 1) @ coef.reshape(L, L, 2 * k)).view(complex)
-    out = np.fft.irfft(rings.transpose(1, 0, 2), n=2 * L, axis=1)
-    return out[:, ::grid.n_azim // at.n_azim].reshape(-1, k)
+    modes = (_legendre_table(grid, at).transpose(0, 2, 1) @ coef.reshape(L, L, 2 * k)).view(complex)
+    if at.n_azim < grid.n_azim:
+        modes = _alias(modes, at.n_azim)
+    return np.fft.irfft(modes.transpose(1, 0, 2), n=at.n_azim, axis=1).reshape(-1, k)
+
+
+def _alias(modes, m):
+    """The rFFT modes, orders 0..m/2 on axis 0, of every (N/m)-th sample of
+    the real sequence of length N = 2 L whose modes are `modes` (orders
+    0..L-1 on axis 0, order L zero), m dividing N: each two-sided order i,
+    the conjugate of order N - i above L, adds to order i mod m, all scaled
+    by m / N.  One length-m irfft then gives the kept samples only."""
+    L, h = modes.shape[0], m // 2
+    N = 2 * L
+    out = np.zeros((h + 1,) + modes.shape[1:], complex)
+    for lo in range(0, N, m):
+        hi = lo + h + 1  # the two-sided orders [lo, hi) add to orders 0..h
+        if lo < L:
+            out[:min(hi, L) - lo] += modes[lo:hi]
+        a = max(lo, L + 1)
+        if a < hi:
+            out[a - lo:] += modes[N - a:N - hi:-1].conj()
+    return out * (m / N)
 
 
 def _zonal_table(n, lmax, x):
@@ -175,8 +197,9 @@ def _harmonic_apply(grid, values, K, at=None):
     The package's one angular operator, K[l] acting on every order of degree l
     at once; at n = 3 on the orders j <= l only, one order's degrees per
     product, so the zero triangle l < j of the coefficients is never
-    multiplied.  The forward passes `_forward_kernel`, for an evaluator on
-    the fine chart and cut to `_sample`'s columns; `john` and `ac` pass
+    multiplied.  The forward passes the t >= 0 rows of `_forward_kernel`,
+    for an evaluator on the fine chart, cut to `_sample`'s columns and
+    synthesised at the grid's directions; `john` and `ac` pass
     `_filter_kernel`, since -Delta R*g = R*(-g''); `hs` its annulus kernel.
     """
     coef = _analyse(grid, values)
@@ -381,28 +404,35 @@ def vslice_forward(f):
     samples.  A function with an evaluator takes it on the evaluator's
     samples at the nodes of the finer `_fine_grid`, radial columns [0, top)
     only (`_sample`) with the kernel's columns to match, synthesised at the
-    grid's directions.  Of those, one direction per antipodal pair is kept,
-    its slices that miss the evaluator's support (`_meets_support`) set
-    to +0.0, and the partner gets the profile reversed in t: f is even, so
-    F(-theta, -t) = F(theta, t) exactly.  The stored boundary exponent rises
-    by (n-1)/2, which is exact.
+    grid's directions, its slices that miss the evaluator's support
+    (`_meets_support`) set to +0.0.  Either way only the kernel's rows
+    t_j >= 0 are applied, at every direction: the t nodes are exactly
+    antisymmetric and the slice (theta, -t) is the slice (-theta, t), so
+    each direction's t < 0 half is the antipode's t > 0 half reversed, and
+    F(-theta, -t) = F(theta, t) exactly.  At t = 0 (odd n_t) each antipodal
+    pair takes its first direction's value.  The stored boundary exponent
+    rises by (n-1)/2, which is exact.
     """
     if not isinstance(f, SphereFunction):
         raise TypeError("vslice_forward expects a SphereFunction")
     grid = f.grid
     e = f.boundary_exponent
+    n_t = grid.spec.n_t
+    h = n_t // 2
     if f.evaluator is None:
-        out = _harmonic_apply(grid, f.smooth, _forward_kernel(grid, e))
+        G = _harmonic_apply(grid, f.smooth, _forward_kernel(grid, e)[:, h:])
     else:
         fine = _fine_grid(grid)
         values = _sample(f.evaluator, fine)
-        K = _forward_kernel(fine, e)[:, :, :values.shape[1]]
-        full = _harmonic_apply(fine, values, K, grid)
-        sel = np.arange(grid.n_ang_total) < grid.antipodal_index
-        half = np.where(_meets_support(f.evaluator, grid.ang[sel], grid.t), full[sel], 0.0)
-        out = np.empty((grid.n_ang_total, grid.spec.n_t))
-        out[sel] = half
-        out[grid.antipodal_index[sel]] = half[:, ::-1]
+        K = _forward_kernel(fine, e)[:, h:, :values.shape[1]]
+        G = _harmonic_apply(fine, values, K, grid)
+        G = np.where(_meets_support(f.evaluator, grid.ang, grid.t[h:]), G, 0.0)
+    out = np.empty((grid.n_ang_total, n_t))
+    out[:, h:] = G
+    out[:, :h] = G[grid.antipodal_index, n_t - 2 * h:][:, ::-1]
+    if n_t % 2:
+        # t = 0 is its own mirror: each antipodal pair takes its first direction's value
+        out[:, h] = G[np.minimum(np.arange(grid.n_ang_total), grid.antipodal_index), 0]
     return SliceData(grid, out, e + 0.5 * (f.spec.n - 1))
 
 

@@ -106,6 +106,32 @@ def test_run_paths_leave_scipy_out():
     assert not loaded
 
 
+IMPORT_CACHES = """
+import sys
+sys.path.insert(0, %r)
+import vslice
+for name, module in sorted(sys.modules.items()):
+    if name == "vslice" or name.startswith("vslice."):
+        for owner in [module] + [c for c in vars(module).values() if isinstance(c, type)]:
+            for attr, f in vars(owner).items():
+                if hasattr(f, "cache_info"):
+                    print(name, getattr(owner, "__name__", ""), attr, f.cache_info().currsize)
+"""
+
+
+def test_import_fills_no_cache():
+    # importing the package builds no grid, rule or kernel: every lru_cache
+    # of its modules, on their classes too, is empty in a fresh process, so
+    # set-up time is the imports and the calls a run makes itself
+    out = subprocess.run(
+        [sys.executable, "-c", IMPORT_CACHES % os.path.join(ROOT, "src")],
+        capture_output=True, text=True, check=True,
+    )
+    rows = [line.split() for line in out.stdout.splitlines()]
+    assert len(rows) >= 15 and {r[-2] for r in rows} >= {"make_grid", "_forward_kernel"}
+    assert [r for r in rows if r[-1] != "0"] == []
+
+
 def _demo_imports(path):
     """Names a demo imports from vslice, and the vslice modules it imports from."""
     with open(path) as fh:

@@ -15,6 +15,7 @@ from scipy.special import eval_chebyu
 from vslice import (
     Grid,
     GridSpec,
+    Phantom,
     SliceData,
     SphereFunction,
     SvdIndex,
@@ -281,12 +282,73 @@ def test_forward_sampled_matches_evaluator_n3(g3):
     assert np.max(np.abs(Fs.values - Fe.values)) < 1e-10
 
 
+# odd n_t; on the last two, the t = 0 values synthesised at a direction and at
+# its antipode differ in the last bits
+ODD_T = [
+    GridSpec(2, 64, 24, 33), GridSpec(3, 16, 24, 33), GridSpec(3, 16, 24, 31),
+    GridSpec(2, 100, 24, 33), GridSpec(3, 10, 12, 11),
+]
+
+
+def _basis(spec):
+    """A singular basis function of spec's grid, sampled, with no evaluator."""
+    f = make_phantom(Phantom(kind="basis", nu=SvdIndex(2, 2, 1), lam=spec.n / 2.0), spec)
+    assert f.evaluator is None
+    return f
+
+
 def test_forward_evenness(g2, g3, bump2, bump3):
-    # one direction per antipodal pair is integrated and its partner gets the
-    # reversed profile, so F(-theta, -t) = F(theta, t) holds bitwise
-    for f in (bump2, bump3):
-        F = vslice_forward(f)
-        assert np.array_equal(F.values[f.grid.antipodal_index][:, ::-1], F.values)
+    # every direction's t < 0 half is its antipode's t > 0 half reversed, and
+    # at t = 0 (odd n_t) each antipodal pair shares one value, so F(-theta, -t)
+    # = F(theta, t) holds bitwise: with and without an evaluator, on even and
+    # odd n_t
+    fs = [bump2, bump3, SphereFunction(g2, bump2.smooth), _basis(g2.spec), _basis(g3.spec)]
+    for spec in ODD_T:
+        bump = make_phantom(BUMP_N2 if spec.n == 2 else BUMP_N3, spec)
+        fs += [bump, SphereFunction(bump.grid, bump.smooth), _basis(spec)]
+    for f in fs:
+        F = vslice_forward(f).values
+        assert np.array_equal(F[f.grid.antipodal_index][:, ::-1], F)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: make_phantom(BUMP_N2, default_spec(2)),
+    lambda: make_phantom(BUMP_N3, default_spec(3)),
+    lambda: _basis(HALF_N2),
+], ids=["bump2", "bump3", "basis2"])
+def test_forward_matches_full_kernel(make):
+    # the forward applies the kernel's t >= 0 rows only and reads t < 0 from
+    # the antipode; every row of the kernel at every direction, masked alike,
+    # gives the same slices, bitwise at n = 2 and within 1e-15 of the peak at
+    # n = 3, where the synthesis at a direction and at its antipode rounds
+    # differently
+    f = make()
+    g, e = f.grid, f.boundary_exponent
+    F = vslice_forward(f).smooth
+    if f.evaluator is None:
+        full = xform._harmonic_apply(g, f.smooth, _forward_kernel(g, e))
+    else:
+        fine = _fine_grid(g)
+        values = xform._sample(f.evaluator, fine)
+        full = xform._harmonic_apply(fine, values, _forward_kernel(fine, e)[:, :, :values.shape[1]], g)
+        full = np.where(_meets_support(f.evaluator, g.ang, g.t), full, 0.0)
+    if g.spec.n == 2:
+        assert np.array_equal(F, full)
+    else:
+        assert np.max(np.abs(F - full)) <= 1e-15 * np.max(np.abs(full))
+
+
+@pytest.mark.parametrize("L, m", [(96, 64), (96, 32), (96, 2), (48, 48), (8, 16)])
+def test_alias_keeps_every_step_th_sample(L, m):
+    # one length-m irfft of the aliased modes gives every (2L/m)-th sample of
+    # the length-2L irfft of the modes, within rounding; order 0's imaginary
+    # part is ignored by both
+    rng = np.random.default_rng(L + m)
+    modes = rng.normal(size=(L, 3, 4)) + 1j * rng.normal(size=(L, 3, 4))
+    want = np.fft.irfft(modes, n=2 * L, axis=0)[::2 * L // m]
+    got = np.fft.irfft(xform._alias(modes, m), n=m, axis=0)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 def test_forward_linearity(g2, bump2):
@@ -384,8 +446,9 @@ with open("/proc/self/status") as fh:
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
 def test_forward_memory_bound():
     # the default n = 3 bump forward samples 1.15 M of the 2.65 M fine-chart
-    # points, in slabs, and transforms only the 93 of 144 radial columns its
-    # windows reach; its process peaks near 105 MB (130 MB over every column,
+    # points, in slabs, transforms only the 93 of 144 radial columns its
+    # windows reach and applies only the kernel's t >= 0 rows; its process
+    # peaks near 102 MB (107 MB over every t row, 130 MB over every column,
     # 165 MB over the whole chart in chunks, 277 MB in one evaluator call over
     # every point).  The peak is VmHWM, in kB: ru_maxrss survives exec on
     # Linux, so a child reports at least the test runner's own
