@@ -18,6 +18,7 @@ numpy's real FFT on a period of 5-smooth length, and J0 is the module's own
 """
 
 import math
+import numbers
 from functools import lru_cache
 
 import numpy as np
@@ -26,15 +27,24 @@ from numpy.polynomial.polynomial import polyval
 from .grid import BallFunction, _jacobi_rule, _read_only, project
 from .invert_john import _plane_data
 from .specfun import method_constants
-from .xform import _harmonic_apply, _kernel_offsets, _node_spline, _radial_kernel, _spline
+from .xform import _fold, _harmonic_apply, _kernel_offsets, _node_spline, _radial_kernel, _spline
 
 DEFAULT_EPS = 4.0 * 1.3 / 383  # 0.01358, the inner radius the hs figures are quoted at
+# The least eps accepted.  The radii below it would add under sigma eps / 8
+# < 2e-9 of m(sigma) at every frequency sigma <= pi / STEP the profiles carry
+# (1 - J0(x) ~ x^2 / 4), at the cost of one panel per halving of eps; near
+# 1e-154 rho^2 underflows and the weights stop being finite.
+MIN_EPS = 1e-12
 PANEL_NODES = 8  # Gauss-Legendre nodes per geometric radial panel
 # Radii at least 2 exceed 1 + every chart radius, the largest offset |s - u|
 # at which a profile supported in [-1, 1] meets a kernel offset s; their
 # arcsine kernels are smooth there and are applied in space.
 FAR_RADIUS = 2.0
 STEP = 1.0 / 4096  # offset step of the periodic profiles the multiplier acts on
+# Radii per block of `_annulus_kernel`'s sums: each of the default rule's two
+# sums (58 radii below FAR_RADIUS, 14 above) in one block, and at most about
+# 70 MB of temporaries (J0's) however many panels eps and r_max make
+RADIUS_BLOCK = 64
 
 # J0 below J0_SPLIT: the 64-node periodic trapezoid of (1/2 pi) int cos(x sin phi),
 # whose error 2 (J_64(x) + J_128(x) + ...) is below 1e-17 there, folded to the
@@ -71,7 +81,8 @@ def _j0(x):
     out = np.empty_like(x)
     near = x < J0_SPLIT
     xn = x[near]
-    folded = np.cos(np.multiply.outer(xn, _FOLD_SINES)).sum(-1)
+    folded = np.multiply.outer(xn, _FOLD_SINES)
+    folded = np.cos(folded, out=folded).sum(-1)
     out[near] = (1.0 + np.cos(xn) + 2.0 * folded) / 32.0
     xf = x[~near]
     z = 1.0 / (xf * xf)
@@ -111,7 +122,10 @@ def _annulus_rule(eps, r_max):
     extrapolated annulus integral 2 T(eps) - T(2 eps).
 
     The panels are [eps 2^j, eps 2^(j+1)], clipped at r_max; T(2 eps) is the
-    sum without the first panel, so extrapolating doubles that panel.
+    sum without the first panel, so extrapolating doubles that panel.  A
+    radius past 1e154, whose square overflows, gets weight 0; a rule with a
+    radius or weight that is not finite (r_max near the largest float) is
+    refused.
     """
     bounds = [eps]
     while bounds[-1] < r_max:
@@ -119,10 +133,19 @@ def _annulus_rule(eps, r_max):
     xg, wg = _jacobi_rule(PANEL_NODES, 0.0, 0.0)
     a = np.asarray(bounds[:-1])[:, None]
     b = np.asarray(bounds[1:])[:, None]
-    rho = 0.5 * (b - a) * xg + 0.5 * (a + b)
-    weight = math.pi * (b - a) * wg / rho**2
+    with np.errstate(over="ignore", invalid="ignore"):
+        rho = 0.5 * (b - a) * xg + 0.5 * (a + b)
+        weight = math.pi * (b - a) * wg / rho**2
+    if not (np.all(np.isfinite(rho)) and np.all(np.isfinite(weight))):
+        raise ValueError(f"the annulus rule on [{eps:g}, {r_max:g}] overflows")
     weight[0] *= 2.0
     return rho.ravel(), weight.ravel()
+
+
+def _blocks(mask):
+    """The indices where mask holds, in runs of at most RADIUS_BLOCK."""
+    idx = np.flatnonzero(mask)
+    return (idx[lo:lo + RADIUS_BLOCK] for lo in range(0, idx.size, RADIUS_BLOCK))
 
 
 @lru_cache(maxsize=8)
@@ -138,9 +161,13 @@ def _annulus_kernel(grid, eps, r_max, tail_correction):
     1 / (pi sqrt(rho^2 - u^2)) on |u| < rho: the data reach it only at
     |u| < 2 <= FAR_RADIUS, where it is smooth, so the sum of those densities
     is sampled there as one kernel on the same period.  The cost therefore
-    grows only with the number of panels, like log(r_max).  The filtered
-    profiles are read at `_kernel_offsets` by linear interpolation.
+    grows only with the number of panels, like log(r_max / eps), and both
+    sums run over `_blocks` of radii, so the memory does not.  The filtered
+    profiles are read at `_kernel_offsets` by linear interpolation.  The
+    kernel is (degrees, n_radial, n_t - n_t // 2), read-only: the columns
+    t >= 0 of `_radial_kernel`, for `_fold`ed data.
     """
+    rho, weight = _annulus_rule(eps, r_max)
     count = _next_smooth(math.ceil((FAR_RADIUS + 2.0) / STEP) + 1)
     k = np.arange(count)
     v = STEP * np.where(2 * k < count, k, k - count)
@@ -148,15 +175,18 @@ def _annulus_kernel(grid, eps, r_max, tail_correction):
     inside = np.abs(v) < 1.0
     samples[:, inside] = _spline(*_node_spline(grid.t), v[inside])
 
-    rho, weight = _annulus_rule(eps, r_max)
     far = rho >= FAR_RADIUS
     sigma = 2.0 * np.pi * np.fft.rfftfreq(count, STEP)
-    m = weight[~far] @ (1.0 - _j0(np.outer(rho[~far], sigma)))
+    m = np.zeros(sigma.size)
+    for i in _blocks(~far):
+        m += weight[i] @ (1.0 - _j0(np.outer(rho[i], sigma)))
     reach = np.abs(v) < FAR_RADIUS
     kernel = np.zeros(count)
-    kernel[reach] = weight[far] @ (
-        1.0 / (np.pi * np.sqrt(rho[far, None] ** 2 - v[None, reach] ** 2))
-    )
+    with np.errstate(over="ignore"):  # a radius past 1e154 adds 0
+        for i in _blocks(far):
+            kernel[reach] += weight[i] @ (
+                1.0 / (np.pi * np.sqrt(rho[i, None] ** 2 - v[None, reach] ** 2))
+            )
     m += weight[far].sum() - STEP * np.fft.rfft(kernel).real
     if tail_correction:
         m += 2.0 * np.pi / r_max
@@ -173,10 +203,11 @@ def invert_hypersingular(F, eps=None, r_max=4.0, tail_correction=True):
     """Reconstruct from slice data via the annulus integral above (n = 2),
     with the first-order difference g(x) - g(x - y) that n = 2 requires.
 
-    eps defaults to DEFAULT_EPS; the radial quadrature runs over geometric
-    panels [eps 2^j, eps 2^(j+1)] with Gauss-Legendre nodes, and doubling
-    eps just drops the first panel, which is how the two truncation levels
-    for the extrapolation come out of one sweep.
+    eps defaults to DEFAULT_EPS and must be at least MIN_EPS; the radial
+    quadrature runs over geometric panels [eps 2^j, eps 2^(j+1)] with
+    Gauss-Legendre nodes, and doubling eps just drops the first panel, which
+    is how the two truncation levels for the extrapolation come out of one
+    sweep.  eps and r_max are real numbers, not bools.
 
     The g(x) term of the difference only decays like |y|^-3 against the
     polar measure, so plain truncation at r_max leaves a 2 pi g(x)/r_max
@@ -189,9 +220,12 @@ def invert_hypersingular(F, eps=None, r_max=4.0, tail_correction=True):
         raise ValueError("the hypersingular route is implemented for n = 2 only")
     if eps is None:
         eps = DEFAULT_EPS
-    if not (0.0 < eps < r_max and math.isfinite(r_max)):
-        raise ValueError("need 0 < eps < r_max < inf")
+    for name, v in (("eps", eps), ("r_max", r_max)):
+        if isinstance(v, bool) or not isinstance(v, numbers.Real):
+            raise ValueError(f"{name} must be a real number, got {v!r}")
+    if not (MIN_EPS <= eps < r_max < math.inf):
+        raise ValueError(f"need {MIN_EPS:g} = MIN_EPS <= eps < r_max < inf")
     phi = _plane_data(F)
     K = _annulus_kernel(grid, float(eps), float(r_max), bool(tail_correction))
     c = method_constants(2).hs_constant
-    return project(BallFunction(grid, c * _harmonic_apply(grid, phi.values, K)))
+    return project(BallFunction(grid, c * _harmonic_apply(grid, _fold(grid, phi.values), K)))

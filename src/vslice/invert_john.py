@@ -7,15 +7,18 @@ through a logarithmic filter in the offset variable in two.  Backprojection
 commutes with the Laplacian, so the profiles are filtered in t (-d^2/dt^2,
 after the log filter when n = 2) and backprojected onto the chart nodes in
 one step: the filter acts as one radial matrix per angular harmonic degree
-(`xform._filter_kernel`).  The result is multiplied back by |x_{n+1}| to
-give the even function on the sphere.
+(`xform._filter_kernel`).  Only the even part of the data reaches a
+backprojection, so the data are folded onto the offsets t >= 0 first
+(`xform._fold`, F(theta, t) + F(-theta, -t)) and the matrices hold only
+those columns; the odd part is exactly 0 before any arithmetic.  The result
+is multiplied back by |x_{n+1}| to give the even function on the sphere.
 """
 
 import numpy as np
 
 from .grid import BallFunction, SliceData, project
 from .specfun import method_constants
-from .xform import _filter_kernel, _harmonic_apply
+from .xform import _filter_kernel, _fold, _harmonic_apply
 
 
 def _plane_data(F):
@@ -32,7 +35,8 @@ def _reconstruct(F, constant):
     G = _plane_data(F)
     grid = G.grid
     exponent = G.boundary_exponent if grid.spec.n == 3 else None
-    smooth = constant * _harmonic_apply(grid, G.values, _filter_kernel(grid, exponent))
+    K = _filter_kernel(grid, exponent)
+    smooth = constant * _harmonic_apply(grid, _fold(grid, G.values), K)
     return project(BallFunction(grid, smooth))
 
 

@@ -34,10 +34,14 @@ from scratch in a different chart and serves as the independent oracle;
 Also here: the dual (backprojection) operator `dual_radon`, the spatial
 oracle, and the t-filter kernels of the filtered routes: `john` and `ac`
 pass -d^2/dt^2 (after a log convolution when n = 2), `hs` its annulus
-multiplier.  The n = 2 filters and `dual_radon` act on one interpolant of
-the t-profiles, the natural cubic spline through the nodes pinned to zero at
-t = +-1: `_node_spline` builds it once as a table (knot values and knot
-second derivatives) and `_spline` is its one evaluator.
+multiplier.  The same slice symmetry halves them: only the even part
+F(theta, t) + F(-theta, -t) of slice data reaches a backprojection, so the
+filtered routes fold the data onto the offsets t >= 0 (`_fold`) and their
+kernels keep only those columns (`_radial_kernel`).  The n = 2 filters and
+`dual_radon` act on one interpolant of the t-profiles, the natural cubic
+spline through the nodes pinned to zero at t = +-1: `_node_spline` builds it
+once as a table (knot values and knot second derivatives) and `_spline` is
+its one evaluator.
 """
 import inspect
 import math
@@ -513,9 +517,9 @@ def is_even_slice_data(F, tol=1e-12):
 
     Slice transforms of even sphere functions always satisfy this; measured
     data satisfy it only up to their noise.  A diagnostic only: the odd part
-    of any data cancels in every backprojection, because `dual_radon` folds
-    antipodal pairs and the harmonic kernel of the filtered routes is even
-    under (theta, t) -> (-theta, -t).
+    of any data cancels exactly in every backprojection, because
+    `dual_radon` folds antipodal pairs and the filtered routes fold the data
+    onto t >= 0 (`_fold`) before any arithmetic.
     """
     if not isinstance(F, SliceData):
         raise TypeError("is_even_slice_data expects SliceData")
@@ -712,13 +716,32 @@ def _kernel_offsets(grid):
 
 
 def _radial_kernel(grid, M):
-    """K[l, j, k] = sum_q wP[l, q] M[j, q, k], where M[j, q, k] is
-    the filtered profile of node k's cardinal function at the offset r_j c_q.
-    M is first made exact under (c, t) -> (-c, -t), like the nodes, so the odd
-    part of the data cancels to rounding (the n = 2 log filter at c and -c
-    differs by about 1e-10)."""
-    M = 0.5 * (M + M[:, ::-1, ::-1])
+    """K[l, j, i] = sum_q wP[l, q] M[j, q, h + i], h = n_t // 2, where
+    M[j, q, k] is the filtered profile of node k's cardinal function at the
+    offset r_j c_q: the columns t_k >= 0 only, (degrees, n_radial, n_t - h),
+    for the data `_fold` makes.  M is first made exact under (c, t) -> (-c,
+    -t), like the nodes (the n = 2 log filter at c and -c differs by about
+    1e-10), so the full kernel's column n_t - 1 - k would be (-1)^l times
+    column k up to rounding, and applying it to the data's even part is
+    applying these columns to the folded data."""
+    n_t = M.shape[2]
+    h = n_t // 2
+    M = 0.5 * (M[:, :, h:] + M[:, ::-1, n_t - 1 - h::-1])
     return np.tensordot(_funk_hecke_rule(grid)[1], M, axes=(1, 1))
+
+
+def _fold(grid, values):
+    """The folded data (F(theta, t) + F(-theta, -t))[:, h:], h = n_t // 2, of
+    values (n_ang_total, n_t), the t = 0 column of an odd n_t halved (it is
+    its own mirror): the even part of F on the offsets t >= 0, twice over,
+    which the half-width kernels of `_radial_kernel` act on.  The odd part
+    of F reaches no backprojection and is exactly 0 here."""
+    n_t = values.shape[1]
+    h = n_t // 2
+    out = values[:, h:] + values[grid.antipodal_index, n_t - 1 - h::-1]
+    if n_t % 2:
+        out[:, 0] *= 0.5
+    return out
 
 
 @lru_cache(maxsize=8)
@@ -728,7 +751,9 @@ def _filter_kernel(grid, exponent):
     -d^2/ds^2 of the log convolution for n = 2, where it does not (pass None,
     so one kernel serves every exponent).  The offsets are antisymmetric in q,
     so the filter is sampled in one call at columns q <= Q - 1 - q only and
-    reflected, M[j, Q-1-q, k] = M[j, q, n_t-1-k], onto the other half."""
+    reflected, M[j, Q-1-q, k] = M[j, q, n_t-1-k], onto the other half.  The
+    kernel is (degrees, n_radial, n_t - n_t // 2), read-only: the columns
+    t >= 0 of `_radial_kernel`, for `_fold`ed data."""
     s = _kernel_offsets(grid)
     half = s[:, : (s.shape[1] + 1) // 2]
     M = (_log_filter_matrix(grid.t, half.ravel()) if grid.spec.n == 2

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from vslice.invert_hs import (
     DEFAULT_EPS,
     FAR_RADIUS,
     J0_SPLIT,
+    MIN_EPS,
     PANEL_NODES,
     STEP,
     _annulus_kernel,
@@ -36,6 +40,16 @@ def test_invert_hypersingular_guards(round2):
     for eps, r_max in ((5.0, 4.0), (None, math.inf), (None, math.nan), (-1.0, 4.0)):
         with pytest.raises(ValueError, match="r_max"):
             invert_hypersingular(F, eps=eps, r_max=r_max)
+    below = np.nextafter(MIN_EPS, 0.0)
+    for eps in (below, 0.0, 1e-300, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="MIN_EPS"):
+            invert_hypersingular(F, eps=eps)
+    for eps, r_max in ((True, 4.0), (np.True_, 4.0), (None, True), ("0.1", 4.0), (None, "4")):
+        with pytest.raises(ValueError, match="real number"):
+            invert_hypersingular(F, eps=eps, r_max=r_max)
+    # r_max near the largest float makes radii or weights that are not finite
+    with pytest.raises(ValueError, match="overflows"):
+        invert_hypersingular(F, r_max=1.7e308)
     phantom3 = make_phantom(
         Phantom(kind="bump", center=(0.0, 0.0, 0.3, 0.95), width=0.7), GridSpec(3, 8, 12, 16)
     )
@@ -154,3 +168,39 @@ def test_annulus_kernel_owned_j0_matches_scipys(monkeypatch):
     monkeypatch.setattr(invert_hs, "_j0", j0)
     ref = _annulus_kernel.__wrapped__(grid, DEFAULT_EPS, 4.0, True)
     assert np.max(np.abs(K - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+LIMIT_RUN = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (%d, %d))
+sys.path.insert(0, %r)
+import numpy as np
+from vslice.grid import SliceData, default_spec, make_grid
+from vslice.invert_hs import MIN_EPS, invert_hypersingular
+g = make_grid(default_spec(2))
+F = SliceData(g, np.ones((g.n_ang_total, g.spec.n_t)), 0.5)
+for eps, r_max in ((MIN_EPS, 4.0), (None, 1e100)):
+    assert np.all(np.isfinite(invert_hypersingular(F, eps=eps, r_max=r_max).values))
+with open("/proc/self/status") as fh:
+    print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_annulus_kernel_memory_at_the_limits():
+    # the least eps (MIN_EPS, 326 radii below FAR_RADIUS) and a huge r_max
+    # (2 654 above it) on the default grid, each kernel's sums built over
+    # blocks of radii: the process peaks near 131 MB, against 106 MB at the
+    # default eps.  Built in one piece, the sums' temporaries grow with the
+    # number of panels, so the child runs under an address-space cap and a
+    # regression fails here instead of exhausting the machine.  One BLAS
+    # thread keeps the reserved address space small.
+    cap = 768 << 20
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    out = subprocess.run(
+        [sys.executable, "-c", LIMIT_RUN % (cap, cap, os.path.join(root, "src"))],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr[-2000:]
+    assert int(out.stdout) <= 200 * 1024

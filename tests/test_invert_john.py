@@ -1,16 +1,21 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from vslice import GridSpec, make_grid, vslice_forward
-from vslice.grid import SliceData
+from vslice.grid import BallFunction, SliceData, project
 from vslice.harness import Phantom, compare, make_phantom
-from vslice.invert_hs import invert_hypersingular
-from vslice.invert_john import invert_john
+from vslice.invert_ac import invert_ac
+from vslice.invert_hs import DEFAULT_EPS, _annulus_kernel, invert_hypersingular
+from vslice.invert_john import _plane_data, invert_john
 from vslice.invert_svd import sphere_basis_grid, svd_index_set
 from vslice.specfun import SvdIndex, method_constants, sphere_area
-from vslice.xform import _filter_kernel, _log_filter_matrix
+from vslice.xform import (
+    _filter_kernel, _funk_hecke_rule, _harmonic_apply, _kernel_offsets, _log_filter_matrix,
+    _plane_filter_matrix,
+)
 
 SPEC2 = GridSpec(2, 128, 48, 64)
 SPEC3 = GridSpec(3, 16, 24, 32)
@@ -133,18 +138,60 @@ def test_even_kernel_shared_across_exponents():
         (GridSpec(2, 64, 16, 32), invert_john),
         (GridSpec(2, 64, 16, 32), invert_hypersingular),
         (GridSpec(3, 8, 12, 16), invert_john),
+        (GridSpec(2, 64, 16, 32), invert_ac),
+        (GridSpec(3, 8, 12, 16), invert_ac),
+        (GridSpec(2, 64, 24, 33), invert_john),
+        (GridSpec(2, 64, 24, 33), invert_ac),
+        (GridSpec(2, 64, 24, 33), invert_hypersingular),
+        (GridSpec(3, 16, 24, 33), invert_john),
+        (GridSpec(3, 16, 24, 33), invert_ac),
     ],
 )
 def test_odd_part_cancels(spec, invert):
     # F(theta, t) - F(-theta, -t) cancels between theta and -theta in every
-    # backprojection; the harmonic kernel's parity makes it cancel mode by mode
+    # backprojection; the filtered routes fold the data onto t >= 0 first, so
+    # it is exactly 0 before any arithmetic, at the t = 0 column of an odd n_t too
     g = make_grid(spec)
     rng = np.random.default_rng(13)
     smooth = rng.normal(size=(g.n_ang_total, spec.n_t))
     odd = 0.5 * (smooth - smooth[g.antipodal_index][:, ::-1])
-    full = invert(SliceData(g, smooth, 0.5)).smooth
-    rec = invert(SliceData(g, odd, 0.5)).smooth
-    assert np.max(np.abs(rec)) <= 1e-13 * np.max(np.abs(full))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # ac's rim-decay warning on random data
+        full = invert(SliceData(g, smooth, 0.5)).smooth
+        rec = invert(SliceData(g, odd, 0.5)).smooth
+    assert np.max(np.abs(full)) > 0.0
+    assert np.all(rec == 0.0)
+
+
+@pytest.mark.parametrize("spec", [GridSpec(2, 64, 24, 33), GridSpec(3, 16, 24, 33)])
+def test_fold_matches_full_kernel(spec):
+    # john applies the kernel's columns t >= 0 to the folded data; the
+    # full-width kernel built here from the filter, the offsets and the
+    # Funk-Hecke rule, made exact under (c, t) -> (-c, -t) like the
+    # production one, applied to the unfolded plane data of random non-even
+    # slice data must give the same reconstruction
+    g = make_grid(spec)
+    n, n_t = spec.n, spec.n_t
+    F = SliceData(g, np.random.default_rng(29).normal(size=(g.n_ang_total, n_t)), 1.0)
+    plane = _plane_data(F)
+    s = _kernel_offsets(g)
+    if n == 2:
+        M = _log_filter_matrix(g.t, s.ravel())
+    else:
+        M = _plane_filter_matrix(g.t, s.ravel(), plane.boundary_exponent)
+    M = M.reshape(s.shape + (n_t,))
+    M = 0.5 * (M + M[:, ::-1, ::-1])
+    K = np.tensordot(_funk_hecke_rule(g)[1], M, axes=(1, 1))
+    k = method_constants(n)
+    c = k.c_hat_n if n == 2 else k.c_n
+    want = project(BallFunction(g, c * _harmonic_apply(g, plane.values, K))).values
+    got = invert_john(F).values
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    # the cached kernels hold the columns t >= 0 only
+    half = K.shape[:2] + (n_t - n_t // 2,)
+    assert _filter_kernel(g, None if n == 2 else plane.boundary_exponent).shape == half
+    if n == 2:
+        assert _annulus_kernel(g, DEFAULT_EPS, 4.0, True).shape == half
 
 
 def test_odd_inverts_basis_exactly():
